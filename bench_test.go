@@ -1,6 +1,7 @@
 // Package repro's benchmark harness: one benchmark per reproduced figure of
-// "Parallel Compilation for a Parallel Machine" (PLDI 1989), plus real
-// compiler benchmarks and the ablations called out in DESIGN.md.
+// "Parallel Compilation for a Parallel Machine" (PLDI 1989), plus the
+// ablations called out in DESIGN.md. The real compiler is measured by
+// cmd/warpbench (BENCHMARK.json), not here.
 //
 // The figure benches run the calibrated host simulation and report the
 // headline metric of their figure as a custom unit (speedups, overhead
@@ -9,22 +10,12 @@
 package repro
 
 import (
-	"context"
-	"fmt"
-	"net"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/codegen"
 	"repro/internal/compiler"
-	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/experiments"
-	"repro/internal/fcache"
-	"repro/internal/service"
 	"repro/internal/stats"
 	"repro/internal/warpsim"
 	"repro/internal/wgen"
@@ -167,258 +158,6 @@ func BenchmarkPmakeBaseline(b *testing.B) {
 	})
 }
 
-// ---------------------------------------------------------------------------
-// Real-compiler benchmarks: the actual Go implementation doing the work the
-// cost model prices.
-
-func BenchmarkRealCompile(b *testing.B) {
-	for _, size := range wgen.Sizes {
-		b.Run(size.String(), func(b *testing.B) {
-			src := wgen.SyntheticProgram(size, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := compiler.CompileModule("bench.w2", src, compiler.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRealParallelCompile measures the real parallel compiler, cached
-// and uncached. The cached pool lives across iterations, so after the first
-// build every function master hits the content-addressed frontend/IR cache —
-// the redundant parse/check/lower work the uncached variant repeats N·F
-// times is the difference between the two series.
-func BenchmarkRealParallelCompile(b *testing.B) {
-	src := wgen.UserProgram()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			pool := cluster.NewLocalPool(workers)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ParallelCompile("bench.w2", src, pool, compiler.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			s := pool.CacheStats()
-			b.ReportMetric(float64(s.Hits()), "cache_hits")
-		})
-		b.Run(fmt.Sprintf("workers-%d-uncached", workers), func(b *testing.B) {
-			pool := cluster.NewLocalPoolWith(workers, nil)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ParallelCompile("bench.w2", src, pool, compiler.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkRealBatchDispatch measures the production fix for the paper's
-// headline negative result: a module of 32 small functions over 4 real RPC
-// workers, dispatched per-function in FCFS order (the measured system)
-// versus LPT-ordered with small functions packed into batches. Workers keep
-// warm caches across iterations, so each compile is cheap and the
-// per-request RPC overhead dominates — exactly the overhead the paper
-// clocked at up to 70% of elapsed time, and what batching amortizes.
-func BenchmarkRealBatchDispatch(b *testing.B) {
-	src := wgen.SmallFuncsProgram(32)
-	policies := []struct {
-		name  string
-		popts core.ParallelOptions
-	}{
-		{"fcfs", core.ParallelOptions{Sched: core.SchedFCFS}},
-		{"lpt-batch", core.ParallelOptions{Sched: core.SchedLPT}},
-	}
-	for _, pc := range policies {
-		b.Run(pc.name, func(b *testing.B) {
-			var servers []*cluster.WorkerServer
-			var addrs []string
-			for i := 0; i < 4; i++ {
-				srv, err := cluster.NewWorkerServer("127.0.0.1:0", 0)
-				if err != nil {
-					b.Fatal(err)
-				}
-				servers = append(servers, srv)
-				addrs = append(addrs, srv.Addr())
-			}
-			defer func() {
-				for _, s := range servers {
-					s.Close()
-				}
-			}()
-			pool, err := cluster.DialPool(addrs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer pool.Close()
-			// Warm the worker caches to steady state: placement varies per
-			// run, so one pass leaves most (worker, function) pairs cold and
-			// early iterations would measure first-build compilation instead
-			// of dispatch.
-			for i := 0; i < 8; i++ {
-				if _, _, err := core.ParallelCompileWith("bench.w2", src, pool, compiler.Options{}, pc.popts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			var stats *core.ParallelStats
-			for i := 0; i < b.N; i++ {
-				if _, stats, err = core.ParallelCompileWith("bench.w2", src, pool, compiler.Options{}, pc.popts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(stats.Dispatch.Units), "units")
-			b.ReportMetric(float64(stats.Dispatch.Batches), "batches")
-		})
-	}
-}
-
-// BenchmarkIncrementalRecompile measures function-grain incremental
-// recompilation: recompiling a 16-function module after editing exactly one
-// function, against compiling the module cold. Warm pools keep their caches
-// across iterations and every iteration edits a different function (seed =
-// iteration), so the steady state is the honest one-edit case: 15 of 16
-// functions are answered from the object tier (by the section master, or by
-// a worker over a shared cache directory) and phases 2+3 run for the edited
-// function alone. The edit itself happens outside the timer.
-func BenchmarkIncrementalRecompile(b *testing.B) {
-	// 16 f_small functions: the largest one-section module that fits cell
-	// program memory (f_medium at this count overflows the 16K-word store).
-	base := wgen.SyntheticProgram(wgen.Small, 16)
-	variant := func(b *testing.B, i int) []byte {
-		src, _, err := wgen.MutateFunctions(base, 1, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return src
-	}
-	compile := func(b *testing.B, pool core.Backend, src []byte) *core.ParallelStats {
-		_, stats, err := core.ParallelCompile("bench.w2", src, pool, compiler.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return stats
-	}
-	rpcWorkers := func(b *testing.B, cacheBytes int64, dir string) []string {
-		var addrs []string
-		for i := 0; i < 4; i++ {
-			srv, err := cluster.NewWorkerServerDir("127.0.0.1:0", cacheBytes, dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { srv.Close() })
-			addrs = append(addrs, srv.Addr())
-		}
-		return addrs
-	}
-
-	b.Run("local-cold", func(b *testing.B) {
-		b.Setenv(fcache.EnvCacheDir, "") // exact cold/warm contrast: no ambient disk tier
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			src := variant(b, i)
-			pool := cluster.NewLocalPoolWith(4, nil)
-			b.StartTimer()
-			compile(b, pool, src)
-		}
-	})
-	b.Run("local-warm-1-edit", func(b *testing.B) {
-		b.Setenv(fcache.EnvCacheDir, "")
-		pool := cluster.NewLocalPool(4)
-		compile(b, pool, base)
-		b.ResetTimer()
-		var stats *core.ParallelStats
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			src := variant(b, i)
-			b.StartTimer()
-			stats = compile(b, pool, src)
-		}
-		b.StopTimer()
-		b.ReportMetric(stats.Dispatch.RecompileRatio, "recompile_ratio")
-	})
-	b.Run("rpc-cold", func(b *testing.B) {
-		b.Setenv(fcache.EnvCacheDir, "")
-		pool, err := cluster.DialPool(rpcWorkers(b, -1, "")) // caching disabled
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			src := variant(b, i)
-			b.StartTimer()
-			compile(b, pool, src)
-		}
-	})
-	b.Run("rpc-warm-1-edit", func(b *testing.B) {
-		b.Setenv(fcache.EnvCacheDir, "")
-		// The warpcc -cache-dir production setup: master and all four workers
-		// share one persistent cache directory.
-		dir := b.TempDir()
-		pool, err := cluster.DialPoolWith(rpcWorkers(b, 0, dir), cluster.PoolOptions{CacheDir: dir})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer pool.Close()
-		compile(b, pool, base)
-		b.ResetTimer()
-		var stats *core.ParallelStats
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			src := variant(b, i)
-			b.StartTimer()
-			stats = compile(b, pool, src)
-		}
-		b.StopTimer()
-		b.ReportMetric(stats.Dispatch.RecompileRatio, "recompile_ratio")
-	})
-}
-
-// BenchmarkParallelFrontend measures the span-sliced parallel frontend
-// against the sequential one on a wide module (32 same-sized functions over
-// 4 sections, wgen -kind wide) — the workload where frontend wall time is
-// bound by the largest function rather than the module. The outline is
-// precomputed outside the timer, exactly as in production: the master's
-// setup parse already paid for the spans before the frontend leg starts, so
-// charging the parallel path for a second outline would measure a pipeline
-// that does not exist.
-func BenchmarkParallelFrontend(b *testing.B) {
-	src := wgen.WideProgram(32, 4)
-	o := mustOutline(b, src)
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, info, bag := compiler.Frontend("bench.w2", src)
-			if info == nil || bag.HasErrors() {
-				b.Fatal(bag.String())
-			}
-		}
-	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			ctx := context.Background()
-			var timing compiler.FrontendTiming
-			for i := 0; i < b.N; i++ {
-				_, info, bag, err := compiler.FrontendParallel(ctx, "bench.w2", src,
-					compiler.FrontendOptions{Parallel: true, Workers: workers, Outline: o, Timing: &timing})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if info == nil || bag.HasErrors() {
-					b.Fatal(bag.String())
-				}
-			}
-			b.ReportMetric(float64(timing.ParseWall.Nanoseconds()), "parse_wall_ns")
-			b.ReportMetric(float64(timing.CheckWall.Nanoseconds()), "check_wall_ns")
-		})
-	}
-}
-
 // Ablations (DESIGN.md): what each phase-3 strategy buys, measured as
 // simulated cell cycles on the same program.
 func BenchmarkAblationCodegen(b *testing.B) {
@@ -501,196 +240,5 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 		}
 		b.ReportMetric(float64(on.Module.TotalWords()), "words_opt")
 		b.ReportMetric(float64(off.Module.TotalWords()), "words_noopt")
-	}
-}
-
-// BenchmarkPipelinedCompile measures the overlapped master against the
-// strictly phased baseline on the straggler workload (one huge function +
-// many tiny ones, wgen -kind mixed). Under the barrier master the
-// sequential head (the full frontend) and tail (link + I/O driver) extend
-// the straggler's wall time; the pipeline forks section masters on the
-// outline alone, runs the frontend concurrently with the fleet, links each
-// section as it streams in, and generates the driver during the parallel
-// region — so its wall clock approaches setup + max(frontend, compile) +
-// residual tail. Pools are uncached so every iteration is a genuine cold
-// build (a warm cache would collapse both sides to microseconds and hide
-// the head/tail being overlapped).
-func BenchmarkPipelinedCompile(b *testing.B) {
-	src := wgen.MixedProgram(12)
-	for _, mode := range []struct {
-		name  string
-		popts core.ParallelOptions
-	}{
-		{"barrier", core.ParallelOptions{Barrier: true}},
-		{"pipeline", core.ParallelOptions{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			pool := cluster.NewLocalPoolWith(4, nil)
-			b.ResetTimer()
-			var stats *core.ParallelStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				if _, stats, err = core.ParallelCompileWith("bench.w2", src, pool, compiler.Options{}, mode.popts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(stats.FrontendTime.Nanoseconds()), "frontend_ns")
-			b.ReportMetric(float64(stats.BackendTail.Nanoseconds()), "tail_ns")
-			if !mode.popts.Barrier {
-				b.ReportMetric(float64(stats.Pipeline.FrontendOverlap.Nanoseconds()), "frontend_overlap_ns")
-				b.ReportMetric(float64(stats.Pipeline.CriticalPath.Nanoseconds()), "critical_path_ns")
-			}
-		})
-	}
-}
-
-// BenchmarkStealDispatch measures the work-stealing fleet against the static
-// per-section LPT plan on the stealer's target workload: one section dense
-// with heavy functions while every other section master has nearly nothing —
-// the static plan strands the light sections' workers while section 1's
-// queue drains alone, and the shared fleet lets them steal into it. Pools
-// are uncached so every iteration is a genuine cold build. The metrics
-// decompose where the remaining wall time goes (per-worker idle,
-// steal latency, splits); on a single-CPU host the two modes converge to
-// the core-bound parity ceiling documented in BENCH_steal.json.
-func BenchmarkStealDispatch(b *testing.B) {
-	src := wgen.SkewedProgram(4, 10)
-	for _, mode := range []struct {
-		name  string
-		popts core.ParallelOptions
-	}{
-		{"static-lpt", core.ParallelOptions{NoSteal: true}},
-		{"steal", core.ParallelOptions{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			pool := cluster.NewLocalPoolWith(4, nil)
-			b.ResetTimer()
-			var stats *core.ParallelStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				if _, stats, err = core.ParallelCompileWith("bench.w2", src, pool, compiler.Options{}, mode.popts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(stats.CompileWallTime.Nanoseconds()), "compile_wall_ns")
-			if mode.popts.NoSteal {
-				return
-			}
-			b.ReportMetric(float64(stats.Steal.Steals), "steals")
-			b.ReportMetric(float64(stats.Steal.BatchSplits), "batch_splits")
-			b.ReportMetric(float64(stats.Steal.StealLatency.Nanoseconds()), "steal_latency_ns")
-			var idle int64
-			for _, d := range stats.Steal.IdleTime {
-				idle += d.Nanoseconds()
-			}
-			b.ReportMetric(float64(idle), "idle_total_ns")
-		})
-	}
-}
-
-// BenchmarkCrossBuildSteal measures the daemon-lifetime shared stealing
-// fleet against per-build fleets (warpd -per-build-fleets) on the
-// cross-build workload the sharing targets: two tenants submit overlapped
-// jobs — one skewed (a straggler section of heavy functions), one mixed
-// (one huge function plus many tiny ones) — so each build's straggler
-// tail leaves slots idle exactly while the co-tenant has queued units to
-// steal. Jobs go through the real wire protocol (admission, tokens,
-// per-job stat scoping) and the pool is uncached, so every job is a
-// genuine cold build. Reported per mode: p95 job latency, job throughput,
-// and the fleet's cumulative steal/cross-build-steal counters (zero under
-// per-build fleets, where no foreign queue is reachable). On a single-CPU
-// host both modes sit at the core-bound parity ceiling documented in
-// BENCH_xsteal.json; the cross-build steal counts and the per-slot idle
-// decomposition are the signal that the machinery fires.
-func BenchmarkCrossBuildSteal(b *testing.B) {
-	srcA := wgen.SkewedProgram(2, 4)
-	srcB := wgen.MixedProgram(24)
-	for _, mode := range []struct {
-		name     string
-		perBuild bool
-	}{
-		{"shared-fleet", false},
-		{"per-build-fleets", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.Setenv(fcache.EnvCacheDir, "") // no ambient disk tier: every job is a cold build
-			d, err := service.NewDaemon(service.Config{
-				Backend:        cluster.NewLocalPoolWith(4, nil),
-				MaxActive:      2,
-				PerBuildFleets: mode.perBuild,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go d.Serve(ln)
-			defer func() {
-				if err := d.Shutdown(30 * time.Second); err != nil {
-					b.Error(err)
-				}
-				ln.Close()
-			}()
-			tenants := []struct {
-				ident string
-				file  string
-				src   []byte
-			}{
-				{"tenant-a", "a.w2", srcA},
-				{"tenant-b", "b.w2", srcB},
-			}
-			clients := make([]*service.Client, len(tenants))
-			for i, tn := range tenants {
-				cl, err := service.Dial(ln.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				cl.SetIdentity(tn.ident)
-				defer cl.Close()
-				clients[i] = cl
-			}
-			var (
-				mu  sync.Mutex
-				lat []time.Duration
-			)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				errs := make([]error, len(tenants))
-				for j, tn := range tenants {
-					wg.Add(1)
-					go func(j int, cl *service.Client, file string, src []byte) {
-						defer wg.Done()
-						start := time.Now()
-						_, err := cl.Compile(context.Background(), file, src, compiler.Options{}, core.ParallelOptions{})
-						errs[j] = err
-						mu.Lock()
-						lat = append(lat, time.Since(start))
-						mu.Unlock()
-					}(j, clients[j], tn.file, tn.src)
-				}
-				wg.Wait()
-				for _, err := range errs {
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			p95 := lat[(len(lat)*95-1)/100]
-			b.ReportMetric(float64(p95.Nanoseconds()), "p95_job_ns")
-			b.ReportMetric(float64(len(lat))/b.Elapsed().Seconds(), "jobs_per_sec")
-			ds, err := clients[0].Stats(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(ds.FleetSteals), "fleet_steals")
-			b.ReportMetric(float64(ds.FleetCrossBuildSteals), "cross_build_steals")
-		})
 	}
 }

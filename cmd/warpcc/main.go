@@ -15,11 +15,8 @@
 //	-j N                  worker count for -mode par (default 4)
 //	-workers host:port,.. worker addresses for -mode rpc
 //	-sched fcfs|lpt       dispatch ordering (default lpt: cost-model + batching)
-//	-no-steal             static per-section dispatch instead of work stealing
 //	-batch-threshold C    estimated-cost cutoff for batching (0 disables)
-//	-barrier              strictly phased master (baseline) instead of the pipeline
-//	-fe-sequential        sequential frontend instead of the parallel one
-//	-fe-workers N         parallel-frontend worker bound (0 = GOMAXPROCS)
+//	-fe-workers N         parallel-frontend worker bound (0 = GOMAXPROCS, 1 = serial)
 //	-peers a,b            peer-cache addresses to fetch finished objects from
 //	-call-timeout D       per-RPC deadline for -mode rpc (0 disables)
 //	-max-retries N        failover attempts per request for -mode rpc
@@ -79,12 +76,9 @@ func main() {
 		clientID      = flag.String("client", "", "fair-share identity sent to the daemon (default: the connection address)")
 		daemonRetries = flag.Int("daemon-retries", 3, "max resubmits after warp-err:overloaded, honoring the daemon's RetryAfter hint (0 surfaces the shed immediately)")
 
-		schedName      = flag.String("sched", "lpt", "dispatch ordering for par/rpc modes: fcfs (the paper's measured system) or lpt (cost-model ordering + batching)")
-		noSteal        = flag.Bool("no-steal", false, "disable the global work-stealing scheduler (static per-section dispatch, the measured baseline)")
+		schedName      = flag.String("sched", "lpt", "dispatch ordering for par/rpc modes: fcfs (the paper's policy: one request per function, declaration order) or lpt (cost-model ordering + batching)")
 		batchThreshold = flag.Float64("batch-threshold", core.DefaultBatchThreshold, "estimated-cost cutoff below which functions are batched (0 disables batching)")
-		barrier        = flag.Bool("barrier", false, "use the paper's strictly phased master (frontend, fork, barrier, link) instead of the overlapped pipeline")
-		feSequential   = flag.Bool("fe-sequential", false, "use the sequential frontend for the master's phase-1 leg instead of the span-sliced parallel frontend")
-		feWorkers      = flag.Int("fe-workers", 0, "worker bound for the parallel frontend (0 = GOMAXPROCS)")
+		feWorkers      = flag.Int("fe-workers", 0, "worker bound for the parallel frontend (0 = GOMAXPROCS, 1 = serial)")
 
 		callTimeout = flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline for -mode rpc (0 disables)")
 		maxRetries  = flag.Int("max-retries", 3, "max failover attempts per request for -mode rpc (0 disables)")
@@ -109,11 +103,8 @@ func main() {
 	}}
 
 	copts := core.ParallelOptions{
-		BatchThreshold:     *batchThreshold,
-		Barrier:            *barrier,
-		FrontendSequential: *feSequential,
-		FrontendWorkers:    *feWorkers,
-		NoSteal:            *noSteal,
+		BatchThreshold:  *batchThreshold,
+		FrontendWorkers: *feWorkers,
 	}
 	switch *schedName {
 	case "fcfs":
@@ -377,12 +368,11 @@ func printParallelStats(s *core.ParallelStats) {
 		s.Workers, s.Elapsed.Round(1000), s.SetupTime.Round(1000), s.FrontendTime.Round(1000))
 	fmt.Printf("timing: dispatch %v, compile-wall %v, tail %v\n",
 		s.DispatchTime.Round(1000), s.CompileWallTime.Round(1000), s.BackendTail.Round(1000))
-	if p := s.Pipeline; p.CriticalPath > 0 {
-		fmt.Printf("pipeline: frontend-overlap %v, link %v (%v overlapped), driver %v, critical-path %v\n",
-			p.FrontendOverlap.Round(1000), p.LinkTime.Round(1000), p.LinkOverlap.Round(1000),
-			p.DriverTime.Round(1000), p.CriticalPath.Round(1000))
-	}
-	if p := s.Pipeline; p.FrontendWorkers > 0 {
+	p := s.Pipeline
+	fmt.Printf("pipeline: frontend-overlap %v, link %v (%v overlapped), driver %v, critical-path %v\n",
+		p.FrontendOverlap.Round(1000), p.LinkTime.Round(1000), p.LinkOverlap.Round(1000),
+		p.DriverTime.Round(1000), p.CriticalPath.Round(1000))
+	if p.FrontendWorkers > 0 {
 		fmt.Printf("pipeline: frontend-parse-wall %v, frontend-check-wall %v, frontend-workers %d\n",
 			p.FrontendParseWall.Round(1000), p.FrontendCheckWall.Round(1000), p.FrontendWorkers)
 	}
@@ -393,26 +383,25 @@ func printParallelStats(s *core.ParallelStats) {
 	}
 	fmt.Printf("schedule: policy=%s threshold=%.0f units=%d batches=%d batched-funcs=%d%s\n",
 		d.Policy, d.BatchThreshold, d.Units, d.Batches, d.BatchedFuncs, rankCorr)
-	if st := s.Steal; st.Enabled {
-		fit := "static"
-		if st.ModelFitted {
-			fit = fmt.Sprintf("fitted(%d samples)", st.SampleCount)
-		}
-		corr := "" // meaningless below 3 measured functions (NaN): omitted
-		if !math.IsNaN(st.FittedRankCorr) && !math.IsNaN(st.StaticRankCorr) {
-			corr = fmt.Sprintf(" rank-corr fitted=%.2f static=%.2f", st.FittedRankCorr, st.StaticRankCorr)
-		}
-		var idle time.Duration
-		for _, d := range st.IdleTime {
-			idle += d
-		}
-		fleet := "private"
-		if st.Shared {
-			fleet = "shared"
-		}
-		fmt.Printf("steal: steals=%d cross-build=%d batch-splits=%d steal-latency=%v idle-total=%v fleet=%s model=%s%s\n",
-			st.Steals, st.CrossBuildSteals, st.BatchSplits, st.StealLatency.Round(1000), idle.Round(1000), fleet, fit, corr)
+	st := s.Steal
+	fit := "static"
+	if st.ModelFitted {
+		fit = fmt.Sprintf("fitted(%d samples)", st.SampleCount)
 	}
+	corr := "" // meaningless below 3 measured functions (NaN): omitted
+	if !math.IsNaN(st.FittedRankCorr) && !math.IsNaN(st.StaticRankCorr) {
+		corr = fmt.Sprintf(" rank-corr fitted=%.2f static=%.2f", st.FittedRankCorr, st.StaticRankCorr)
+	}
+	var idle time.Duration
+	for _, d := range st.IdleTime {
+		idle += d
+	}
+	fleet := "private"
+	if st.Shared {
+		fleet = "shared"
+	}
+	fmt.Printf("steal: steals=%d cross-build=%d batch-splits=%d steal-latency=%v idle-total=%v fleet=%s model=%s%s\n",
+		st.Steals, st.CrossBuildSteals, st.BatchSplits, st.StealLatency.Round(1000), idle.Round(1000), fleet, fit, corr)
 	fmt.Printf("incremental: unchanged=%d worker-hits=%d recompiled=%d recompile-ratio=%.2f\n",
 		d.UnchangedFuncs, d.IncrementalHits, d.RecompiledFuncs, d.RecompileRatio)
 	if c := s.Cache; c.PeerHits+c.PeerMisses+c.PeerErrors+c.PeerPrefetched+c.PeerServed > 0 {

@@ -10,8 +10,7 @@
 // Concurrent jobs dispatch through one daemon-lifetime work-stealing
 // fleet: a slot left idle by one build's straggler tail steals another
 // build's queued units, with victims chosen by per-tenant service deficit
-// so a huge build cannot starve a small one (-per-build-fleets restores
-// the old one-fleet-per-job baseline).
+// so a huge build cannot starve a small one.
 //
 // Daemons federate through the peer-cache protocol (internal/peercache):
 // -peer-listen serves this daemon's artifact cache to the fleet ("who has
@@ -65,7 +64,6 @@ func main() {
 		tokens     = flag.Int("tokens", 0, "parallelism token bucket capacity (0 = max-active)")
 		jobTO      = flag.Duration("job-timeout", 0, "per-job deadline measured from admission (0 = none)")
 		grace      = flag.Duration("grace", 30*time.Second, "drain period for accepted jobs on SIGINT/SIGTERM")
-		perBuild   = flag.Bool("per-build-fleets", false, "give every job its own work-stealing fleet instead of the shared daemon-lifetime one (the pre-cross-build-stealing baseline)")
 
 		callTimeout = flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline for remote workers (0 disables)")
 		maxRetries  = flag.Int("max-retries", 3, "max failover attempts per request for remote workers")
@@ -126,12 +124,11 @@ func main() {
 	}
 
 	d, err := service.NewDaemon(service.Config{
-		Backend:        backend,
-		MaxActive:      *maxActive,
-		MaxQueued:      *maxQueued,
-		Tokens:         *tokens,
-		JobTimeout:     *jobTO,
-		PerBuildFleets: *perBuild,
+		Backend:    backend,
+		MaxActive:  *maxActive,
+		MaxQueued:  *maxQueued,
+		Tokens:     *tokens,
+		JobTimeout: *jobTO,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},

@@ -33,9 +33,9 @@ const (
 	Pass Kind = iota
 	// Delay sleeps Fault.D before serving normally — a loaded workstation.
 	Delay
-	// Hang blocks the call for Fault.D (default: until the server closes)
-	// and then fails it — a wedged workstation; drives the client's
-	// deadline path.
+	// Hang blocks the call for Fault.D (default: until the server or the
+	// call's connection closes) and then fails it — a wedged workstation;
+	// drives the client's deadline path.
 	Hang
 	// ErrorReply answers Fault.Err without compiling — a sick worker. Use a
 	// "warp-err:<code>: ..." message to exercise coded-error handling.
@@ -48,7 +48,7 @@ const (
 // Fault is one scripted fault.
 type Fault struct {
 	Kind Kind
-	D    time.Duration // Delay/Hang duration (Hang: 0 means until close)
+	D    time.Duration // Delay/Hang duration (Hang: 0 means until server or connection close)
 	Err  string        // ErrorReply message
 }
 
@@ -167,11 +167,12 @@ func (s *Server) acceptLoop() {
 		s.mu.Unlock()
 
 		// One rpc.Server per connection so the injected service can sever
-		// its own transport (the Drop fault).
+		// its own transport (the Drop fault) and notice its client leaving.
+		wc := &watchedConn{Conn: conn, gone: make(chan struct{})}
 		srv := rpc.NewServer()
-		srv.RegisterName("Worker", &faultyWorker{s: s, conn: conn})
+		srv.RegisterName("Worker", &faultyWorker{s: s, conn: wc})
 		go func() {
-			srv.ServeConn(conn)
+			srv.ServeConn(wc)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -202,11 +203,30 @@ func (s *Server) Close() error {
 	return err
 }
 
+// watchedConn closes gone on the first failed Read. net/rpc keeps a read
+// outstanding on the connection while handlers run, so a client that hangs
+// up (or a Drop fault) is observed at once — a handler parked in a Hang
+// releases instead of pinning itself and rpc.ServeConn until the server
+// closes.
+type watchedConn struct {
+	net.Conn
+	gone chan struct{}
+	once sync.Once
+}
+
+func (c *watchedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.once.Do(func() { close(c.gone) })
+	}
+	return n, err
+}
+
 // faultyWorker is the per-connection RPC service: the shared inner worker
 // behind the plan's faults.
 type faultyWorker struct {
 	s    *Server
-	conn net.Conn
+	conn *watchedConn
 }
 
 // inject applies the plan's next fault. It returns a non-nil error when the
@@ -252,13 +272,15 @@ func (f *faultyWorker) CompileBatch(req core.BatchRequest, reply *cluster.BatchR
 	return f.s.worker.CompileBatch(req, reply)
 }
 
-// sleep waits for d or until the server closes, whichever comes first.
+// sleep waits for d, or until the server or this call's connection closes,
+// whichever comes first.
 func (f *faultyWorker) sleep(d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
 	case <-f.s.done:
+	case <-f.conn.gone:
 	}
 }
 

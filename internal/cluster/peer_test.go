@@ -270,7 +270,7 @@ func parityCompile(t *testing.T, seq *link.Module, src []byte, pool *cluster.Loc
 // BenchmarkPeerColdStart measures the tentpole's perf claim on the wgen
 // mixed workload (one huge function plus a tail of tiny ones): a cold
 // process next to two warm peers (peer-fill) against a cold process alone
-// (recompile-the-world). BENCH_peer.json records representative medians.
+// (recompile-the-world).
 func BenchmarkPeerColdStart(b *testing.B) {
 	b.Setenv("WARP_CACHE_DIR", "")
 	src := wgen.MixedProgram(12)

@@ -1,15 +1,14 @@
 package cluster_test
 
 // Pipeline tests over real RPC workers: the overlapped master's output must
-// match the sequential compiler and the barrier baseline, a chaos-injected
-// hang in one section must cancel its siblings promptly (no waiting out the
-// barrier, no goroutine leak), and a caller cancelling mid-stream must sever
-// the in-flight RPC and leave the pool healthy for the retry.
+// match the sequential compiler, a chaos-injected hang in one section must
+// cancel its siblings promptly (no waiting out the straggler, no goroutine
+// leak), and a caller cancelling mid-stream must sever the in-flight RPC and
+// leave the pool healthy for the retry.
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -18,19 +17,14 @@ import (
 	"repro/internal/cluster/chaos"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/wgen"
 )
 
 // TestPipelinedRPCMatchesSequential drives the straggler workload through
-// real RPC workers under both masters: pipeline ≡ barrier ≡ sequential.
+// real RPC workers: pipeline ≡ sequential.
 func TestPipelinedRPCMatchesSequential(t *testing.T) {
 	noAmbientDiskCache(t)
-	src := wgen.MixedProgram(8)
-	seq, err := compiler.CompileModule("mixed.w2", src, compiler.Options{})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		srv, serr := cluster.NewWorkerServer("127.0.0.1:0", 0)
@@ -46,20 +40,9 @@ func TestPipelinedRPCMatchesSequential(t *testing.T) {
 	}
 	defer pool.Close()
 
-	for _, popts := range []core.ParallelOptions{{}, {Barrier: true}} {
-		par, stats, err := core.ParallelCompileWith("mixed.w2", src, pool, compiler.Options{}, popts)
-		if err != nil {
-			t.Fatalf("parallel (barrier=%v): %v", popts.Barrier, err)
-		}
-		if verr := core.VerifySameOutput(seq.Module, par.Module); verr != nil {
-			t.Errorf("output differs from sequential (barrier=%v): %v", popts.Barrier, verr)
-		}
-		if !popts.Barrier && stats.Pipeline.CriticalPath <= 0 {
-			t.Errorf("pipeline stats not populated: %+v", stats.Pipeline)
-		}
-		if popts.Barrier && stats.Pipeline != (core.PipelineStats{}) {
-			t.Errorf("barrier run reported pipeline overlap: %+v", stats.Pipeline)
-		}
+	stats := compileBoth(t, "mixed.w2", wgen.MixedProgram(8), pool)
+	if stats.Pipeline.CriticalPath <= 0 {
+		t.Errorf("pipeline stats not populated: %+v", stats.Pipeline)
 	}
 }
 
@@ -71,7 +54,7 @@ func TestPipelinedRPCMatchesSequential(t *testing.T) {
 // word-identical to sequential.
 func TestHangCancelsSiblingSections(t *testing.T) {
 	noAmbientDiskCache(t)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Take()
 	src := wgen.MultiSectionProgram(wgen.Small, 3)
 
 	// One scripted hang (until server close ≈ an hour), then pass-through.
@@ -109,14 +92,10 @@ func TestHangCancelsSiblingSections(t *testing.T) {
 	}
 	pool.Close()
 
-	// No goroutine leak: severed section masters and dispatchers drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base+2 {
-		t.Errorf("goroutines leaked after cancellation: %d now vs %d before", n, base)
-	}
+	// No goroutine leak: severed section masters and dispatchers drain, and
+	// the hung handler releases with its connection. Only the chaos server's
+	// accept loop outlives the pool — the retry below needs it.
+	base.Check(t, "chaos.(*Server).acceptLoop")
 
 	// Retry on a fresh pool: the script is exhausted, so the same server now
 	// passes everything through — and the result is word-identical.

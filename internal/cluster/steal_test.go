@@ -36,9 +36,6 @@ func TestStealRPCSkewedParity(t *testing.T) {
 	defer pool.Close()
 
 	stats := compileBothWith(t, "skew.w2", wgen.SkewedProgram(4, 8), pool, core.ParallelOptions{})
-	if !stats.Steal.Enabled {
-		t.Error("default options must dispatch through the stealer")
-	}
 	if len(stats.Steal.IdleTime) != 4 {
 		t.Errorf("idle decomposition has %d slots, want 4", len(stats.Steal.IdleTime))
 	}
@@ -49,8 +46,8 @@ func TestStealRPCSkewedParity(t *testing.T) {
 func TestStealLocalPoolSkewedParity(t *testing.T) {
 	pool := cluster.NewLocalPool(4)
 	stats := compileBothWith(t, "skew.w2", wgen.SkewedProgram(4, 8), pool, core.ParallelOptions{})
-	if !stats.Steal.Enabled {
-		t.Error("default options must dispatch through the stealer")
+	if len(stats.Steal.IdleTime) != 4 {
+		t.Errorf("idle decomposition has %d slots, want 4", len(stats.Steal.IdleTime))
 	}
 }
 
@@ -79,9 +76,6 @@ func TestStealChaosWorkerDiesMidSteal(t *testing.T) {
 	defer pool.Close()
 
 	stats := compileBothWith(t, "skew.w2", wgen.SkewedProgram(3, 6), pool, core.ParallelOptions{})
-	if !stats.Steal.Enabled {
-		t.Error("chaos run must still dispatch through the stealer")
-	}
 	if f := stats.Faults; f.Retries == 0 && f.BatchSplits == 0 && f.Failovers == 0 {
 		t.Errorf("every worker dropped a connection; expected recovery activity, got %s", f)
 	}

@@ -9,12 +9,11 @@ package compiler
 
 import (
 	"context"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/fcache"
+	"repro/internal/leakcheck"
 	"repro/internal/parser"
 	"repro/internal/wgen"
 )
@@ -160,7 +159,7 @@ func TestFrontendParallelCancel(t *testing.T) {
 	src := wgen.WideProgram(48, 4)
 	h := fcache.HashSource(src)
 	cache := fcache.New(1 << 20)
-	before := runtime.NumGoroutine()
+	before := leakcheck.Take()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -170,13 +169,7 @@ func TestFrontendParallelCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, n)
-	}
+	before.Check(t)
 
 	// The cache must not have memoized the cancellation.
 	e, err := FrontendEntryCachedWith(context.Background(), cache, h, "m.w2", src,

@@ -386,25 +386,10 @@ type ParallelOptions struct {
 	// DefaultBatchThreshold, negative disables batching (one request per
 	// function). Ignored under SchedFCFS, which never batches.
 	BatchThreshold float64
-	// Barrier selects the paper's strictly phased master: the full frontend
-	// runs before any section master is forked, sections are linked only
-	// after the last one finishes, and the I/O driver is generated in the
-	// sequential tail. It exists as the measured baseline for the overlapped
-	// pipeline (the default) and produces byte-identical output.
-	Barrier bool
-	// FrontendSequential selects the sequential frontend for the master's
-	// phase-1 leg. The default is the span-sliced parallel frontend
-	// (compiler.FrontendParallel), which produces word-identical artifacts;
-	// the sequential path is kept as the oracle and the conservative choice.
-	FrontendSequential bool
-	// FrontendWorkers bounds the parallel frontend's fan-out; <1 means
-	// GOMAXPROCS. Ignored under FrontendSequential.
+	// FrontendWorkers bounds the fan-out of the master's span-sliced
+	// parallel frontend (compiler.FrontendParallel); <1 means GOMAXPROCS,
+	// 1 is the serial setting.
 	FrontendWorkers int
-	// NoSteal disables the global work-stealing scheduler and reverts to the
-	// static per-section dispatch (one goroutine per planned unit, FCFS
-	// arbitration at the backend). It exists as the measured baseline for
-	// stealing, the way Barrier is the baseline for the pipeline.
-	NoSteal bool
 
 	// fleet, when non-nil, is a daemon-lifetime shared stealing fleet this
 	// build dispatches through instead of constructing its own; tenant is
@@ -482,13 +467,11 @@ type DispatchStats struct {
 
 // StealStats reports the global work-stealing scheduler's activity during
 // one compilation, plus how the self-tuning cost model performed against the
-// static formula. All zero (Enabled=false) under ParallelOptions.NoSteal.
+// static formula.
 type StealStats struct {
-	// Enabled reports that the work-stealing fleet dispatched this build.
 	// Shared reports that the fleet was a daemon-lifetime one multiplexing
 	// concurrent builds (false for the standalone per-build fleet).
-	Enabled bool
-	Shared  bool
+	Shared bool
 	// Steals counts steal operations that took this build's queued work (an
 	// idle slot raiding another slot's deque); CrossBuildSteals the subset
 	// where the thieving slot's previous unit belonged to a different build
@@ -536,14 +519,14 @@ func idleDelta(now, base []time.Duration) []time.Duration {
 }
 
 // PipelineStats records how much of the master's sequential head and tail
-// the overlapped pipeline hid inside the parallel region. The overlap fields
-// are zero under ParallelOptions.Barrier; the frontend fields are filled
-// whenever the parallel frontend actually ran (not on a frontend cache hit).
+// the overlapped pipeline hid inside the parallel region. The frontend
+// fields are filled whenever the parallel frontend actually ran (not on a
+// frontend cache hit).
 type PipelineStats struct {
 	// FrontendParseWall and FrontendCheckWall split the master's frontend leg
 	// into its span-sliced parse and concurrent check; FrontendWorkers is the
 	// fan-out bound the parallel frontend resolved. All zero when the
-	// sequential frontend ran or the frontend tier answered from cache.
+	// frontend tier answered from cache.
 	FrontendParseWall time.Duration
 	FrontendCheckWall time.Duration
 	FrontendWorkers   int
@@ -592,8 +575,7 @@ type ParallelStats struct {
 	// Steal reports the work-stealing scheduler's rebalancing activity and
 	// the self-tuning cost model's performance.
 	Steal StealStats
-	// Pipeline reports the overlap won by the pipelined master (all zero
-	// under ParallelOptions.Barrier).
+	// Pipeline reports the overlap won by the pipelined master.
 	Pipeline PipelineStats
 	// Cache reports the backend's artifact-cache counters (cumulative over
 	// the backend's lifetime, not just this compilation); zero when the
@@ -631,7 +613,7 @@ func ParallelCompileWith(file string, src []byte, backend Backend, opts compiler
 // loop when it finishes racing the speculatively dispatched sections. err is
 // non-nil only when the leg was cancelled (the parallel frontend's sole
 // error mode); timing reports the parallel frontend's internal wall times
-// (zero on the sequential path and on frontend-tier cache hits).
+// (zero on frontend-tier cache hits).
 type frontendVerdict struct {
 	m      *ast.Module
 	bag    *source.DiagBag
@@ -655,8 +637,8 @@ type sectionDone struct {
 //     parse succeeds, while the master's full frontend runs concurrently.
 //     Function masters re-derive phase 1 themselves, so they reach the same
 //     verdict on the same source; if the frontend finds semantic errors the
-//     master cancels the fleet and reports diagnostics word-identical to
-//     the phased master's.
+//     master cancels the fleet and reports the frontend's diagnostics,
+//     word-identical to the sequential compiler's.
 //   - Streaming tail: section results are linked the moment they arrive
 //     (link.Builder), so linking overlaps the slowest section instead of
 //     waiting behind a barrier, and the I/O driver — which depends only on
@@ -665,8 +647,7 @@ type sectionDone struct {
 //     the first fatal error (or the caller cancelling ctx) severs in-flight
 //     RPCs instead of waiting out the stragglers.
 //
-// Output is byte-identical to the sequential compiler and to the barrier
-// baseline (ParallelOptions.Barrier).
+// Output is byte-identical to the sequential compiler.
 func ParallelCompileContext(ctx context.Context, file string, src []byte, backend Backend, opts compiler.Options, popts ParallelOptions) (*compiler.Result, *ParallelStats, error) {
 	start := time.Now()
 	popts = popts.normalized()
@@ -721,24 +702,15 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	// the deferred LIFO runs cancel first: whatever of this build is still
 	// queued when we unwind is dropped by Build.Close as cancelled orphans,
 	// and its in-flight units drain as immediate no-ops.
-	var (
-		build     *sched.Build
-		privFleet *sched.Fleet
-		fleetBase sched.StealStats
-	)
-	if !popts.NoSteal {
-		fleet := popts.fleet
-		if fleet == nil {
-			privFleet = sched.NewFleet(backend.Workers())
-			fleet = privFleet
-			defer privFleet.Close()
-		}
-		build = fleet.Open(popts.tenant)
-		defer build.Close()
-		fleetBase = fleet.Stats()
-		stats.Steal.Enabled = true
-		stats.Steal.Shared = privFleet == nil
+	fleet := popts.fleet
+	stats.Steal.Shared = fleet != nil
+	if fleet == nil {
+		fleet = sched.NewFleet(backend.Workers())
+		defer fleet.Close()
 	}
+	build := fleet.Open(popts.tenant)
+	defer build.Close()
+	fleetBase := fleet.Stats()
 
 	// With a peer fleet attached, the master batch-prefetches before any
 	// dispatch: the outline already names every function hash this compile
@@ -762,19 +734,22 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	// frontend leg is the exception: it answers to the caller's context
 	// only, because its verdict is authoritative — when speculative dispatch
 	// loses its bet, the fleet's errors are echoes and the abort message
-	// must carry the frontend's diagnostics, word-identical to the phased
-	// master's. A failing section therefore severs the fleet but lets the
-	// (in-process, cheap) frontend leg finish.
+	// must carry the frontend's diagnostics, word-identical to the
+	// sequential compiler's. A failing section therefore severs the fleet
+	// but lets the (in-process, cheap) frontend leg finish.
 	callerCtx := ctx
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// Speculative dispatch: the outline alone is enough to plan and fork
+	// section masters, so the master's frontend runs concurrently with the
+	// fleet instead of ahead of it.
 	feCh := make(chan frontendVerdict, 1)
-	runFrontend := func() {
+	go func() {
 		t := time.Now()
 		var timing compiler.FrontendTiming
 		fe, err := compiler.FrontendEntryCachedWith(callerCtx, masterCache, srcHash, file, src, compiler.FrontendOptions{
-			Parallel: !popts.FrontendSequential,
+			Parallel: true,
 			Workers:  popts.FrontendWorkers,
 			Outline:  outline, // the setup parse already paid for the spans
 			Timing:   &timing,
@@ -784,17 +759,14 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 			return
 		}
 		feCh <- frontendVerdict{m: fe.Module, bag: fe.Bag, time: time.Since(t), timing: timing}
-	}
+	}()
 	secCh := make(chan sectionDone, len(outline.Sections))
 	regionStart := time.Now()
-	forkSections := func() {
-		regionStart = time.Now()
-		for i, so := range outline.Sections {
-			go func(i int, so parser.SectionOutline) {
-				r, err := runSectionMaster(ctx, file, src, srcHash, so, backend, masterCache, model, build, opts, popts)
-				secCh <- sectionDone{pos: i, res: r, err: err}
-			}(i, so)
-		}
+	for i, so := range outline.Sections {
+		go func(i int, so parser.SectionOutline) {
+			r, err := runSectionMaster(ctx, file, src, srcHash, so, backend, masterCache, model, build, opts, popts)
+			secCh <- sectionDone{pos: i, res: r, err: err}
+		}(i, so)
 	}
 	type driverDone struct {
 		drv  *iodriver.Driver
@@ -807,29 +779,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		bag    *source.DiagBag
 		feDone bool
 	)
-	if popts.Barrier {
-		// The paper's strictly phased master, kept as the measured baseline:
-		// phase 1 completes — discovering all syntax and semantic errors —
-		// before anything is forked.
-		runFrontend()
-		fe := <-feCh
-		stats.FrontendTime = fe.time
-		recordFrontendTiming(stats, fe.timing)
-		if fe.err != nil {
-			return nil, stats, fmt.Errorf("master: frontend: %w", fe.err)
-		}
-		if fe.bag.HasErrors() {
-			return nil, stats, fmt.Errorf("master: front-end errors, compilation aborted:\n%s", fe.bag.String())
-		}
-		m, bag, feDone = fe.m, fe.bag, true
-		forkSections()
-	} else {
-		// Speculative dispatch: the outline alone is enough to plan and fork
-		// section masters, so the master's frontend runs concurrently with
-		// the fleet instead of ahead of it.
-		go runFrontend()
-		forkSections()
-	}
 
 	// The combine loop: consume legs as they complete. Each section is
 	// linked the moment it arrives; the frontend verdict gates success and
@@ -844,7 +793,9 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		case fe := <-feCh:
 			feDone = true
 			stats.FrontendTime = fe.time
-			recordFrontendTiming(stats, fe.timing)
+			stats.Pipeline.FrontendParseWall = fe.timing.ParseWall
+			stats.Pipeline.FrontendCheckWall = fe.timing.CheckWall
+			stats.Pipeline.FrontendWorkers = fe.timing.Workers
 			if fe.err != nil {
 				// The frontend leg was cancelled — by the caller, or by a
 				// failing section severing the pipeline. Keep draining; the
@@ -855,10 +806,9 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 			}
 			if fe.bag.HasErrors() {
 				// Speculative dispatch lost its bet: sever the in-flight
-				// compiles, drain the fleet, and report the diagnostics
-				// exactly as the phased master would. The sections' own
-				// errors are echoes of the same source, so the frontend
-				// verdict takes precedence.
+				// compiles, drain the fleet, and report the frontend's
+				// diagnostics. The sections' own errors are echoes of the
+				// same source, so the frontend verdict takes precedence.
 				cancel()
 				for remaining > 0 {
 					<-secCh
@@ -875,17 +825,14 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		case d := <-secCh:
 			remaining--
 			if remaining == 0 {
-				// Same span the phased master measured: fork of the first
-				// section master to the last section's completion.
+				// Fork of the first section master to the last section's
+				// completion.
 				stats.CompileWallTime = time.Since(regionStart)
 			}
 			secResults[d.pos], secErrs[d.pos] = d.res, d.err
 			if d.err != nil {
 				cancel() // first fatal error severs the siblings
 				continue
-			}
-			if popts.Barrier {
-				continue // baseline links after the barrier, below
 			}
 			lt := time.Now()
 			err := builder.Add(outline.Sections[d.pos].Index, sectionObjects(d.res))
@@ -901,9 +848,9 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		}
 	}
 
-	// Error selection mirrors the phased master: the first failing section
-	// in outline order wins. Cancellation echoes from severed siblings (or
-	// from the caller's own ctx) never mask a genuine error.
+	// Error selection: the first failing section in outline order wins.
+	// Cancellation echoes from severed siblings (or from the caller's own
+	// ctx) never mask a genuine error.
 	var cancelled error
 	for i, err := range secErrs {
 		if err == nil {
@@ -962,29 +909,23 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	stats.Dispatch.RankCorr = estimatorAccuracy(outline, stats.FuncCPU)
 	stats.Steal.StaticRankCorr = stats.Dispatch.RankCorr
 	stats.Steal.FittedRankCorr = estimatorAccuracyModel(outline, stats.FuncCPU, model)
-	if build != nil {
-		// All sections combined: every one of this build's units has been
-		// delivered, so Close (idempotent with the deferred one) settles the
-		// handle without waiting on sibling builds. A private fleet is
-		// retired outright so its idle decomposition ends at the last unit
-		// rather than accumulating through the link tail; on a shared fleet
-		// the idle delta since Open approximates this job's window.
-		build.Close()
-		bs := build.Stats()
-		stats.Steal.Steals = bs.Steals
-		stats.Steal.CrossBuildSteals = bs.CrossBuildSteals
-		stats.Steal.BatchSplits = bs.BatchSplits
-		stats.Steal.StealLatency = bs.StealLatency
-		var fs sched.StealStats
-		if privFleet != nil {
-			privFleet.Close()
-			privFleet.Wait()
-			fs = privFleet.Stats()
-		} else {
-			fs = popts.fleet.Stats()
-		}
-		stats.Steal.IdleTime = idleDelta(fs.IdleTime, fleetBase.IdleTime)
+	// All sections combined: every one of this build's units has been
+	// delivered, so Close (idempotent with the deferred one) settles the
+	// handle without waiting on sibling builds. A private fleet is retired
+	// outright so its idle decomposition ends at the last unit rather than
+	// accumulating through the link tail; on a shared fleet the idle delta
+	// since Open approximates this job's window.
+	build.Close()
+	bs := build.Stats()
+	stats.Steal.Steals = bs.Steals
+	stats.Steal.CrossBuildSteals = bs.CrossBuildSteals
+	stats.Steal.BatchSplits = bs.BatchSplits
+	stats.Steal.StealLatency = bs.StealLatency
+	if !stats.Steal.Shared {
+		fleet.Close()
+		fleet.Wait()
 	}
+	stats.Steal.IdleTime = idleDelta(fleet.Stats().IdleTime, fleetBase.IdleTime)
 	// Feed the estimator's loop: append this build's observations to the
 	// persisted window (PutCostSamples trims it and is a no-op without a
 	// disk tier). Failures are ignored — samples are a scheduling hint.
@@ -996,43 +937,27 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		stats.Dispatch.RecompileRatio = float64(stats.Dispatch.RecompiledFuncs) / float64(total)
 	}
 
-	// Master, step 4: what remains of the sequential tail. Under the
-	// pipeline the sections are already linked and the driver leg is in
-	// flight — only ordering the cell images and collecting the driver are
-	// left. The baseline does all of it here, after the barrier.
+	// Master, step 4: what remains of the sequential tail. The sections are
+	// already linked and the driver leg is in flight — only ordering the
+	// cell images and collecting the driver are left.
 	t3 := time.Now()
-	if popts.Barrier {
-		for i, r := range secResults {
-			if err := builder.Add(outline.Sections[i].Index, sectionObjects(r)); err != nil {
-				return nil, stats, fmt.Errorf("section %d: %w", outline.Sections[i].Index, err)
-			}
-		}
-	}
 	linked, err := builder.Finish()
 	if err != nil {
 		return nil, stats, err
 	}
-	var drv *iodriver.Driver
-	if popts.Barrier {
-		drv = iodriver.Generate(m)
-	} else {
-		dd := <-drvCh
-		drv = dd.drv
-		stats.Pipeline.DriverTime = dd.time
-	}
+	dd := <-drvCh
+	stats.Pipeline.DriverTime = dd.time
 	res := &compiler.Result{
 		ModuleName: m.Name,
 		Module:     linked,
-		Driver:     drv,
+		Driver:     dd.drv,
 		Funcs:      funcResults,
 		Warnings:   warnings,
 	}
 	stats.BackendTail = time.Since(t3)
 	stats.Elapsed = time.Since(start)
-	if !popts.Barrier {
-		stats.Pipeline.FrontendOverlap = min(stats.FrontendTime, stats.CompileWallTime)
-		stats.Pipeline.CriticalPath = stats.SetupTime + max(stats.FrontendTime, stats.CompileWallTime) + stats.BackendTail
-	}
+	stats.Pipeline.FrontendOverlap = min(stats.FrontendTime, stats.CompileWallTime)
+	stats.Pipeline.CriticalPath = stats.SetupTime + max(stats.FrontendTime, stats.CompileWallTime) + stats.BackendTail
 	if cs, ok := backend.(CacheStatser); ok {
 		stats.Cache = cs.CacheStats()
 	}
@@ -1040,18 +965,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		stats.Faults = fs.FaultStats()
 	}
 	return res, stats, nil
-}
-
-// recordFrontendTiming surfaces the parallel frontend's internal wall times
-// on the pipeline stats (no-op for the zero timing of a sequential or cached
-// frontend leg).
-func recordFrontendTiming(stats *ParallelStats, t compiler.FrontendTiming) {
-	if t.Workers == 0 {
-		return
-	}
-	stats.Pipeline.FrontendParseWall = t.ParseWall
-	stats.Pipeline.FrontendCheckWall = t.CheckWall
-	stats.Pipeline.FrontendWorkers = t.Workers
 }
 
 // sectionObjects extracts a section result's objects in declaration order
@@ -1105,8 +1018,8 @@ type unitDone struct {
 
 // runSectionMaster plans the section's dispatch units from the structural
 // outline (large functions first, small ones batched under the cost
-// threshold), forks one dispatcher goroutine per unit, and combines objects
-// and diagnostics incrementally as replies stream in — asm.Decode overlaps
+// threshold), submits them to the fleet, and combines objects and
+// diagnostics incrementally as replies stream in — asm.Decode overlaps
 // the slowest in-flight compiles instead of serializing after a
 // whole-section barrier. Output (objects, warnings) is emitted in
 // declaration order regardless of arrival order.
@@ -1116,11 +1029,11 @@ type unitDone struct {
 // answered on the spot and never reach sched.Plan, so the cost model only
 // schedules the functions that genuinely need compiling.
 //
-// With a non-nil build handle the planned units feed the work-stealing
-// fleet instead of private per-unit goroutines: execution order is whatever
-// steals make it, unit boundaries may change mid-flight (a steal can crack a
-// queued batch open), and the combine loop therefore counts remaining
-// *tasks*, not units. Emission stays keyed by declaration index either way.
+// The planned units feed the work-stealing fleet through the build handle:
+// execution order is whatever steals make it, unit boundaries may change
+// mid-flight (a steal can crack a queued batch open), and the combine loop
+// therefore counts remaining *tasks*, not units. Emission stays keyed by
+// declaration index.
 func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcache.SourceHash, so parser.SectionOutline, backend Backend, masterCache *fcache.Cache, model sched.Model, build *sched.Build, opts compiler.Options, popts ParallelOptions) (*SectionResult, error) {
 	t0 := time.Now()
 	res := &SectionResult{
@@ -1211,13 +1124,7 @@ func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcac
 		replies, err := dispatch(u)
 		done <- unitDone{unit: u, replies: replies, err: err}
 	}
-	if build != nil {
-		build.Submit(units, deliver)
-	} else {
-		for _, u := range units {
-			go deliver(u)
-		}
-	}
+	build.Submit(units, deliver)
 
 	// Streaming combine: decode each object the moment its reply lands.
 	// Slots are keyed by declaration index, so any request/reply skew —

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -35,10 +36,31 @@ func (b *localBackend) Compile(ctx context.Context, req CompileRequest) (*Compil
 	return RunFunctionMaster(req)
 }
 
+// checkMatchesSequential is the one parity bar: the download module and the
+// merged warnings must be word-identical to the sequential compiler's.
+func checkMatchesSequential(t *testing.T, seq, par *compiler.Result) {
+	t.Helper()
+	if err := VerifySameOutput(seq.Module, par.Module); err != nil {
+		t.Errorf("output differs from sequential: %v", err)
+	}
+	if len(par.Warnings) != len(seq.Warnings) {
+		t.Fatalf("warnings: got %d, want %d", len(par.Warnings), len(seq.Warnings))
+	}
+	for i := range seq.Warnings {
+		if par.Warnings[i] != seq.Warnings[i] {
+			t.Errorf("warning %d differs: %q vs %q", i, par.Warnings[i], seq.Warnings[i])
+		}
+	}
+}
+
+// TestParallelMatchesSequential compiles representative workloads through
+// the pipelined master: the streaming link and speculative dispatch must be
+// invisible in the output.
 func TestParallelMatchesSequential(t *testing.T) {
 	for _, src := range [][]byte{
 		wgen.SyntheticProgram(wgen.Small, 4),
 		wgen.MultiSectionProgram(wgen.Small, 3),
+		wgen.MixedProgram(8),
 		wgen.UserProgram(),
 	} {
 		seq, err := compiler.CompileModule("m.w2", src, compiler.Options{})
@@ -49,10 +71,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel: %v", err)
 		}
-		if err := VerifySameOutput(seq.Module, par.Module); err != nil {
-			t.Errorf("parallel output differs from sequential: %v", err)
-		}
-		if stats.Elapsed <= 0 || stats.Workers != 4 {
+		checkMatchesSequential(t, seq, par)
+		if stats.Elapsed <= 0 || stats.Workers != 4 || stats.Pipeline.CriticalPath <= 0 {
 			t.Errorf("stats not populated: %+v", stats)
 		}
 		if len(stats.FuncCPU) != len(seq.Funcs) {
@@ -193,78 +213,66 @@ func (b *batchingBackend) CompileBatch(ctx context.Context, req BatchRequest) ([
 	return RunBatchWith(ctx, req, nil)
 }
 
-// TestParallelPoliciesMatchSequential drives every dispatch policy over a
-// module of many small functions — the paper's worst case — on both a
-// batch-capable and a batch-less backend, checking word-identical output
-// and the expected scheduling counters.
+// TestParallelPoliciesMatchSequential is the dispatch parity table: every
+// dispatch policy over a module of many small functions — the paper's worst
+// case — on both a batch-capable and a batch-less backend at every worker
+// count, checking word-identical output and the planned scheduling counters.
+// FCFS is the paper's policy (singleton units, declaration order) expressed
+// as plan data on the one dispatch path.
 func TestParallelPoliciesMatchSequential(t *testing.T) {
 	src := wgen.SmallFuncsProgram(16)
 	seq, err := compiler.CompileModule("small.w2", src, compiler.Options{})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
-	// NoSteal pins the static dispatch path: this suite asserts planned
-	// units map 1:1 onto backend calls, which a mid-flight steal split
-	// deliberately breaks. The stealing path has its own parity suite
-	// (steal_test.go).
 	cases := []struct {
 		name        string
 		popts       ParallelOptions
 		wantBatches bool // at least one multi-function unit planned
 		wantUnits   int  // exact unit count; 0 = don't check
 	}{
-		{"fcfs", ParallelOptions{Sched: SchedFCFS, NoSteal: true}, false, 16},
-		{"lpt-default", ParallelOptions{Sched: SchedLPT, NoSteal: true}, true, 0},
-		{"lpt-no-batch", ParallelOptions{Sched: SchedLPT, BatchThreshold: -1, NoSteal: true}, false, 16},
-		{"lpt-huge-threshold", ParallelOptions{Sched: SchedLPT, BatchThreshold: 1e9, NoSteal: true}, true, 0},
-		{"static-dispatch-defaults", ParallelOptions{NoSteal: true}, true, 0},
+		{"default", ParallelOptions{}, true, 0},
+		{"fcfs", ParallelOptions{Sched: SchedFCFS}, false, 16},
+		{"lpt-no-batch", ParallelOptions{BatchThreshold: -1}, false, 16},
+		{"lpt-huge-threshold", ParallelOptions{BatchThreshold: 1e9}, true, 0},
 	}
 	backends := []struct {
 		name string
-		mk   func() Backend
+		mk   func(workers int) Backend
 	}{
-		{"batch-capable", func() Backend { return &batchingBackend{localBackend: newLocalBackend(4)} }},
-		{"batch-less", func() Backend { return newLocalBackend(4) }},
+		{"batch-capable", func(w int) Backend { return &batchingBackend{localBackend: newLocalBackend(w)} }},
+		{"batch-less", func(w int) Backend { return newLocalBackend(w) }},
 	}
 	for _, be := range backends {
 		for _, tc := range cases {
-			t.Run(be.name+"/"+tc.name, func(t *testing.T) {
-				backend := be.mk()
-				par, stats, err := ParallelCompileWith("small.w2", src, backend, compiler.Options{}, tc.popts)
-				if err != nil {
-					t.Fatalf("parallel: %v", err)
-				}
-				if err := VerifySameOutput(seq.Module, par.Module); err != nil {
-					t.Errorf("output differs from sequential: %v", err)
-				}
-				if len(par.Warnings) != len(seq.Warnings) {
-					t.Errorf("warnings: got %d, want %d", len(par.Warnings), len(seq.Warnings))
-				}
-				for i := range seq.Warnings {
-					if i < len(par.Warnings) && par.Warnings[i] != seq.Warnings[i] {
-						t.Errorf("warning %d differs: %q vs %q", i, par.Warnings[i], seq.Warnings[i])
+			for _, workers := range []int{1, 2, 4, 8} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", be.name, tc.name, workers), func(t *testing.T) {
+					backend := be.mk(workers)
+					par, stats, err := ParallelCompileWith("small.w2", src, backend, compiler.Options{}, tc.popts)
+					if err != nil {
+						t.Fatalf("parallel: %v", err)
 					}
-				}
-				d := stats.Dispatch
-				if tc.wantBatches && d.Batches == 0 {
-					t.Errorf("expected batches, got %+v", d)
-				}
-				if !tc.wantBatches && d.Batches != 0 {
-					t.Errorf("expected no batches, got %+v", d)
-				}
-				if tc.wantUnits != 0 && d.Units != tc.wantUnits {
-					t.Errorf("units = %d, want %d", d.Units, tc.wantUnits)
-				}
-				if d.Batches > 0 && d.BatchedFuncs < 2*d.Batches {
-					t.Errorf("batched funcs %d inconsistent with %d batches", d.BatchedFuncs, d.Batches)
-				}
-				if bb, ok := backend.(*batchingBackend); ok && d.Batches > 0 && bb.batchCalls != d.Batches {
-					t.Errorf("backend served %d batch calls, stats say %d", bb.batchCalls, d.Batches)
-				}
-				if stats.CompileWallTime <= 0 {
-					t.Errorf("CompileWallTime not populated: %+v", stats)
-				}
-			})
+					checkMatchesSequential(t, seq, par)
+					d := stats.Dispatch
+					if tc.wantBatches != (d.Batches > 0) {
+						t.Errorf("want batches=%v, got %+v", tc.wantBatches, d)
+					}
+					if tc.wantUnits != 0 && d.Units != tc.wantUnits {
+						t.Errorf("units = %d, want %d", d.Units, tc.wantUnits)
+					}
+					if d.Batches > 0 && d.BatchedFuncs < 2*d.Batches {
+						t.Errorf("batched funcs %d inconsistent with %d batches", d.BatchedFuncs, d.Batches)
+					}
+					// Planned units map 1:1 onto backend calls unless a steal
+					// cracked a queued batch open mid-flight.
+					if bb, ok := backend.(*batchingBackend); ok && stats.Steal.BatchSplits == 0 && bb.batchCalls != d.Batches {
+						t.Errorf("backend served %d batch calls, stats say %d", bb.batchCalls, d.Batches)
+					}
+					if stats.CompileWallTime <= 0 {
+						t.Errorf("CompileWallTime not populated: %+v", stats)
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,74 +1,27 @@
 package core
 
-// Tests for the overlapped master pipeline: output parity with the barrier
-// baseline, word-identical frontend-error aborts despite speculative
-// dispatch, prompt end-to-end cancellation without goroutine leaks, and the
-// self-consistency of the timing decomposition under overlap.
+// Tests for the overlapped master pipeline: word-identical frontend-error
+// aborts despite speculative dispatch, prompt end-to-end cancellation
+// without goroutine leaks, and the self-consistency of the timing
+// decomposition under overlap. (Output parity is core_test.go's table.)
 
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/leakcheck"
 	"repro/internal/wgen"
 )
 
-// TestPipelineMatchesBarrier compiles representative workloads through both
-// masters and requires byte-identical modules and identical warnings — the
-// streaming link and speculative dispatch must be invisible in the output.
-func TestPipelineMatchesBarrier(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		src  []byte
-	}{
-		{"mixed-straggler", wgen.MixedProgram(8)},
-		{"multi-section", wgen.MultiSectionProgram(wgen.Small, 3)},
-		{"user", wgen.UserProgram()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			seq, err := compiler.CompileModule("m.w2", tc.src, compiler.Options{})
-			if err != nil {
-				t.Fatalf("sequential: %v", err)
-			}
-			bar, _, err := ParallelCompileWith("m.w2", tc.src, newLocalBackend(4), compiler.Options{},
-				ParallelOptions{Barrier: true})
-			if err != nil {
-				t.Fatalf("barrier: %v", err)
-			}
-			pipe, stats, err := ParallelCompileWith("m.w2", tc.src, newLocalBackend(4), compiler.Options{},
-				ParallelOptions{})
-			if err != nil {
-				t.Fatalf("pipeline: %v", err)
-			}
-			if err := VerifySameOutput(seq.Module, bar.Module); err != nil {
-				t.Errorf("barrier output differs from sequential: %v", err)
-			}
-			if err := VerifySameOutput(seq.Module, pipe.Module); err != nil {
-				t.Errorf("pipeline output differs from sequential: %v", err)
-			}
-			if len(pipe.Warnings) != len(bar.Warnings) {
-				t.Errorf("warnings: pipeline %d, barrier %d", len(pipe.Warnings), len(bar.Warnings))
-			}
-			for i := range bar.Warnings {
-				if i < len(pipe.Warnings) && pipe.Warnings[i] != bar.Warnings[i] {
-					t.Errorf("warning %d differs: %q vs %q", i, pipe.Warnings[i], bar.Warnings[i])
-				}
-			}
-			if stats.Pipeline.CriticalPath <= 0 {
-				t.Errorf("pipeline stats not populated: %+v", stats.Pipeline)
-			}
-		})
-	}
-}
-
 // TestFrontendErrorAbortWordIdentical checks speculative dispatch loses its
-// bet gracefully: a module whose frontend fails must abort with diagnostics
-// word-identical to the strictly phased master's, even though section
-// masters were already forked when the verdict arrived.
+// bet gracefully: a module whose frontend fails must abort with the
+// sequential compiler's diagnostics text — the frontend's verdict, not a
+// cancelled section's echo — even though section masters were already forked
+// when the verdict arrived.
 func TestFrontendErrorAbortWordIdentical(t *testing.T) {
 	bad := []byte(`
 module m (out ys: float[1])
@@ -77,18 +30,17 @@ section 1 of 1 {
     function g() { undeclared = 1; send(Y, 2.0); }
 }
 `)
-	_, _, barErr := ParallelCompileWith("bad.w2", bad, newLocalBackend(2), compiler.Options{},
-		ParallelOptions{Barrier: true})
-	if barErr == nil {
-		t.Fatal("barrier master accepted a semantically bad module")
+	_, _, bag := compiler.Frontend("bad.w2", bad)
+	if !bag.HasErrors() {
+		t.Fatal("sequential frontend accepted a semantically bad module")
 	}
-	_, _, pipeErr := ParallelCompileWith("bad.w2", bad, newLocalBackend(2), compiler.Options{},
-		ParallelOptions{})
-	if pipeErr == nil {
+	want := "master: front-end errors, compilation aborted:\n" + bag.String()
+	_, _, err := ParallelCompile("bad.w2", bad, newLocalBackend(2), compiler.Options{})
+	if err == nil {
 		t.Fatal("pipelined master accepted a semantically bad module")
 	}
-	if pipeErr.Error() != barErr.Error() {
-		t.Errorf("abort diagnostics differ:\npipeline: %s\nbarrier:  %s", pipeErr, barErr)
+	if err.Error() != want {
+		t.Errorf("abort diagnostics differ:\npipeline:   %s\nsequential: %s", err, want)
 	}
 }
 
@@ -123,7 +75,7 @@ func (b *gateBackend) Compile(ctx context.Context, req CompileRequest) (*Compile
 // that an immediate retry compiles word-identical to sequential.
 func TestCallerCancellationSeversFleet(t *testing.T) {
 	src := wgen.MixedProgram(6)
-	base := runtime.NumGoroutine()
+	base := leakcheck.Take()
 
 	gate := &gateBackend{localBackend: newLocalBackend(2), entered: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -150,13 +102,7 @@ func TestCallerCancellationSeversFleet(t *testing.T) {
 	}
 
 	// No goroutine leak: the fleet must drain back to the baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base+2 {
-		t.Errorf("goroutines leaked after cancellation: %d now vs %d before", n, base)
-	}
+	base.Check(t)
 
 	// The retry compiles clean and word-identical to sequential.
 	seq, err := compiler.CompileModule("mixed.w2", src, compiler.Options{})
@@ -207,19 +153,5 @@ func TestPipelineStatsInvariants(t *testing.T) {
 	}
 	if p.CriticalPath <= 0 || p.LinkTime <= 0 || p.DriverTime <= 0 {
 		t.Errorf("pipeline stats not populated: %+v", p)
-	}
-
-	// The barrier baseline reports no overlap at all. (The frontend timing
-	// fields are orthogonal: the parallel frontend runs under the barrier
-	// master too, so only the overlap fields must be zero.)
-	_, sb, err := ParallelCompileWith("mixed.w2", src, newLocalBackend(4), compiler.Options{},
-		ParallelOptions{Barrier: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb := sb.Pipeline
-	pb.FrontendParseWall, pb.FrontendCheckWall, pb.FrontendWorkers = 0, 0, 0
-	if pb != (PipelineStats{}) {
-		t.Errorf("barrier master reported pipeline overlap: %+v", pb)
 	}
 }

@@ -12,11 +12,11 @@ import (
 	"repro/internal/wgen"
 )
 
-// TestStealParityMatchesSequential is the stealing path's parity suite: with
-// the work-stealing fleet on (the default), output and warnings must be
-// word-identical to the sequential compiler at every worker count, on both a
-// batch-capable and a batch-less backend — steals and splits reorder
-// execution, never emission.
+// TestStealParityMatchesSequential is the stealer's parity suite on the
+// workloads that provoke steals and splits (skewed sections, batches of
+// small functions): output and warnings must be word-identical to the
+// sequential compiler at every worker count, on both a batch-capable and a
+// batch-less backend — steals and splits reorder execution, never emission.
 func TestStealParityMatchesSequential(t *testing.T) {
 	programs := []struct {
 		name string
@@ -45,39 +45,13 @@ func TestStealParityMatchesSequential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("parallel: %v", err)
 					}
-					if err := VerifySameOutput(seq.Module, par.Module); err != nil {
-						t.Errorf("stolen/split output differs from sequential: %v", err)
-					}
-					if len(par.Warnings) != len(seq.Warnings) {
-						t.Fatalf("warnings: got %d, want %d", len(par.Warnings), len(seq.Warnings))
-					}
-					for i := range seq.Warnings {
-						if par.Warnings[i] != seq.Warnings[i] {
-							t.Errorf("warning %d differs: %q vs %q", i, par.Warnings[i], seq.Warnings[i])
-						}
-					}
-					if !stats.Steal.Enabled {
-						t.Error("default options must dispatch through the stealer")
-					}
+					checkMatchesSequential(t, seq, par)
 					if len(stats.Steal.IdleTime) != workers {
 						t.Errorf("idle decomposition has %d slots, want %d", len(stats.Steal.IdleTime), workers)
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestNoStealDisablesFleet: the -no-steal escape hatch pins static dispatch.
-func TestNoStealDisablesFleet(t *testing.T) {
-	src := wgen.SmallFuncsProgram(8)
-	_, stats, err := ParallelCompileWith("m.w2", src, newLocalBackend(2),
-		compiler.Options{}, ParallelOptions{NoSteal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Steal.Enabled || stats.Steal.Steals != 0 {
-		t.Errorf("NoSteal must bypass the fleet: %+v", stats.Steal)
 	}
 }
 

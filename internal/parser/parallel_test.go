@@ -2,11 +2,10 @@ package parser_test
 
 import (
 	"context"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/ast"
+	"repro/internal/leakcheck"
 	"repro/internal/parser"
 	"repro/internal/source"
 	"repro/internal/wgen"
@@ -163,7 +162,7 @@ func TestParseModuleParallelCancel(t *testing.T) {
 	if outline == nil {
 		t.Fatal("no outline")
 	}
-	before := runtime.NumGoroutine()
+	before := leakcheck.Take()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var bag source.DiagBag
@@ -175,11 +174,5 @@ func TestParseModuleParallelCancel(t *testing.T) {
 		t.Fatal("cancelled parse returned a module")
 	}
 	// All workers must have exited; allow the runtime a moment to reap.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, n)
-	}
+	before.Check(t)
 }

@@ -1,6 +1,6 @@
 // Work-stealing dispatch fleet: one set of slot goroutines shared by every
 // section master — and, under warpd, by every concurrent build. Each slot
-// owns a deque seeded LPT-style (cost-descending, least-loaded slot first);
+// owns a deque seeded in plan order (least-loaded slot first);
 // owners pop queued units from their own deque, preferring the most
 // service-deficient tenant when several builds' work is co-located, and a
 // dry slot steals from the victim holding the most queued work of the
@@ -23,7 +23,6 @@
 package sched
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -147,29 +146,28 @@ func (f *Fleet) Open(tenant string) *Build {
 	return &Build{f: f, st: st}
 }
 
-// Submit seeds the units onto the fleet's deques LPT-style: cost-descending,
-// each to the currently least-loaded slot, so the initial placement matches
-// the static plan's balance and stealing only has to fix what the estimator
-// got wrong. run is invoked once per unit (or per split fragment); closures
-// from different sections — and different builds — interleave freely on the
-// shared fleet.
+// Submit seeds the units onto the fleet's deques in the order the plan gives
+// them, each to the currently least-loaded slot. An LPT plan arrives
+// cost-descending, so the initial placement matches the static plan's
+// balance and stealing only has to fix what the estimator got wrong; an FCFS
+// plan arrives in declaration order and is served in it. run is invoked
+// once per unit (or per split fragment); closures from different sections —
+// and different builds — interleave freely on the shared fleet.
 //
 // Submitting to a closed fleet or through a closed build runs the units
 // synchronously in the caller's goroutine — late work is never dropped and
 // never hangs.
 func (b *Build) Submit(units []Unit, run func(Unit)) {
 	f := b.f
-	ordered := append([]Unit(nil), units...)
-	sortUnitsByCostDesc(ordered)
 	f.mu.Lock()
 	if f.closed || b.st.closed {
 		f.mu.Unlock()
-		for _, u := range ordered {
+		for _, u := range units {
 			run(u)
 		}
 		return
 	}
-	for _, u := range ordered {
+	for _, u := range units {
 		least := 0
 		for j := 1; j < len(f.loads); j++ {
 			if f.loads[j] < f.loads[least] {
@@ -473,9 +471,4 @@ func (f *Fleet) countSteal(thief int, b *buildState) {
 		f.stats.CrossBuildSteals++
 		b.stats.CrossBuildSteals++
 	}
-}
-
-// sortUnitsByCostDesc stable-sorts units largest-first (LPT seeding order).
-func sortUnitsByCostDesc(us []Unit) {
-	sort.SliceStable(us, func(i, j int) bool { return us[i].Cost > us[j].Cost })
 }

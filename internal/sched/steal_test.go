@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -482,4 +483,80 @@ func TestFleetBuildCloseDropsQueuedOrphans(t *testing.T) {
 			t.Errorf("queued orphan %s ran after its build closed", name)
 		}
 	}
+}
+
+// TestSubmitSeedsInPlanOrder pins Submit's contract that the plan, not the
+// fleet, decides seeding order: (a) an LPT plan is seeded exactly as a
+// sort-by-cost-then-seed submit would seed it, and (b) an FCFS plan on a
+// one-slot fleet runs in declaration order.
+func TestSubmitSeedsInPlanOrder(t *testing.T) {
+	var tasks []Task
+	for i, lines := range []int{10, 400, 30, 250, 20, 300, 40, 15, 120, 35} {
+		tasks = append(tasks, Task{Name: fmt.Sprintf("f%d", i), Index: i, Lines: lines})
+	}
+
+	t.Run("lpt", func(t *testing.T) {
+		const slots = 3
+		plan := PlanCosted(Costs(tasks), 100, slots)
+		sorted := append([]Unit(nil), plan...)
+		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Cost > sorted[j].Cost })
+		want := make([][]string, slots)
+		loads := make([]float64, slots)
+		for _, u := range sorted {
+			least := 0
+			for j := range loads {
+				if loads[j] < loads[least] {
+					least = j
+				}
+			}
+			want[least] = append(want[least], u.Tasks[0].Name)
+			loads[least] += u.Cost
+		}
+
+		// Pin every slot inside a blocker so the seeded deques sit still.
+		f := NewFleet(slots)
+		defer f.Close()
+		b := f.Open("")
+		defer b.Close()
+		started, release := make(chan struct{}, slots), make(chan struct{})
+		var blockers []Unit
+		for i := 0; i < slots; i++ {
+			blockers = append(blockers, costedUnit(1, fmt.Sprintf("block%d", i)))
+		}
+		b.Submit(blockers, func(Unit) { started <- struct{}{}; <-release })
+		for i := 0; i < slots; i++ {
+			<-started
+		}
+		b.Submit(plan, func(Unit) {})
+		f.mu.Lock()
+		got := make([][]string, slots)
+		for i, q := range f.deques {
+			for _, it := range q {
+				got[i] = append(got[i], it.unit.Tasks[0].Name)
+			}
+		}
+		f.mu.Unlock()
+		close(release)
+		b.Drain()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("LPT seeding changed:\n got %v\nwant %v", got, want)
+		}
+	})
+
+	t.Run("fcfs", func(t *testing.T) {
+		f := NewFleet(1)
+		defer f.Close()
+		b := f.Open("")
+		defer b.Close()
+		var got []string
+		b.Submit(PlanCosted(Costs(tasks), 0, 1), func(u Unit) { got = append(got, u.Tasks[0].Name) })
+		b.Drain()
+		var want []string
+		for _, task := range tasks {
+			want = append(want, task.Name)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("FCFS plan ran out of declaration order:\n got %v\nwant %v", got, want)
+		}
+	})
 }

@@ -3,11 +3,10 @@ package sem_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/ast"
+	"repro/internal/leakcheck"
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
@@ -157,7 +156,7 @@ func TestCheckParallelParity(t *testing.T) {
 // TestCheckParallelCancel checks prompt, leak-free exit on cancellation.
 func TestCheckParallelCancel(t *testing.T) {
 	m := parseFor(t, wgen.WideProgram(48, 3))
-	before := runtime.NumGoroutine()
+	before := leakcheck.Take()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var bag source.DiagBag
@@ -168,11 +167,5 @@ func TestCheckParallelCancel(t *testing.T) {
 	if info != nil {
 		t.Fatal("cancelled check returned an Info")
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, n)
-	}
+	before.Check(t)
 }

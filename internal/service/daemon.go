@@ -36,12 +36,6 @@ type Config struct {
 	// WriteTimeout bounds each response write so a hanging client that
 	// stops reading cannot wedge its connection goroutine (0 = 10s).
 	WriteTimeout time.Duration
-	// PerBuildFleets reverts to the pre-shared-fleet behavior: every job
-	// constructs and retires its own work-stealing fleet instead of
-	// dispatching through the daemon-lifetime shared one. Kept as the
-	// measured baseline for cross-build stealing (BenchmarkCrossBuildSteal),
-	// the way NoSteal is the baseline for stealing at all.
-	PerBuildFleets bool
 	// Logf receives operational log lines; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -81,11 +75,11 @@ type Daemon struct {
 	admit  *Admitter
 	tokens *Bucket
 	// fleet is the daemon-lifetime work-stealing fleet every job dispatches
-	// through (nil under Config.PerBuildFleets): one set of slots sized to
-	// the backend, multiplexing all concurrent builds so one build's
-	// straggler tail is drained by slots another build left idle. Jobs tag
-	// their units with the same client identity the Admitter queues by, and
-	// victim selection is weighted by per-tenant service deficit.
+	// through: one set of slots sized to the backend, multiplexing all
+	// concurrent builds so one build's straggler tail is drained by slots
+	// another build left idle. Jobs tag their units with the same client
+	// identity the Admitter queues by, and victim selection is weighted by
+	// per-tenant service deficit.
 	fleet *sched.Fleet
 
 	baseCtx context.Context
@@ -139,6 +133,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		cfg:       cfg,
 		admit:     NewAdmitter(cfg.MaxActive, cfg.MaxQueued),
 		tokens:    NewBucket(cfg.Tokens),
+		fleet:     sched.NewFleet(cfg.Backend.Workers()),
 		baseCtx:   ctx,
 		stop:      cancel,
 		listeners: make(map[net.Listener]struct{}),
@@ -146,13 +141,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		flights:   make(map[flightKey]*flight),
 	}
 	d.repliesDone = sync.NewCond(&d.mu)
-	if !cfg.PerBuildFleets {
-		nslots := cfg.Backend.Workers()
-		if nslots < 1 {
-			nslots = 1
-		}
-		d.fleet = sched.NewFleet(nslots)
-	}
 	return d, nil
 }
 
@@ -446,10 +434,7 @@ func (d *Daemon) runFlight(key flightKey, f *flight, req *Request) {
 	// handle). The tenant tag is the same client identity the Admitter
 	// fair-shares by, so the fleet's deficit weighting and admission agree
 	// on who is starved.
-	popts := req.POpts
-	if d.fleet != nil && !popts.NoSteal {
-		popts = popts.WithFleet(d.fleet, req.Client)
-	}
+	popts := req.POpts.WithFleet(d.fleet, req.Client)
 
 	snap := core.SnapshotBackendStats(d.cfg.Backend)
 	start := time.Now()
@@ -548,12 +533,10 @@ func (d *Daemon) snapshotStats() *DaemonStats {
 	active, queued := d.admit.Depth()
 	s.ActiveJobs, s.QueuedJobs = int64(active), int64(queued)
 	s.Tokens = d.tokens.Stats()
-	if d.fleet != nil {
-		fs := d.fleet.Stats()
-		s.FleetSteals = int64(fs.Steals)
-		s.FleetCrossBuildSteals = int64(fs.CrossBuildSteals)
-		s.FleetBatchSplits = int64(fs.BatchSplits)
-	}
+	fs := d.fleet.Stats()
+	s.FleetSteals = int64(fs.Steals)
+	s.FleetCrossBuildSteals = int64(fs.CrossBuildSteals)
+	s.FleetBatchSplits = int64(fs.BatchSplits)
 	return &s
 }
 
@@ -608,10 +591,8 @@ func (d *Daemon) Shutdown(grace time.Duration) error {
 
 	// Every job has unwound (each closed its own Build handle), so the
 	// shared fleet is dry: retire the slot goroutines.
-	if d.fleet != nil {
-		d.fleet.Close()
-		d.fleet.Wait()
-	}
+	d.fleet.Close()
+	d.fleet.Wait()
 
 	if n := d.tokens.Outstanding(); n != 0 {
 		return fmt.Errorf("service: %d parallelism token(s) leaked at shutdown", n)

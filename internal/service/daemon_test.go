@@ -481,8 +481,7 @@ func TestDaemonUnixSocket(t *testing.T) {
 }
 
 // TestDaemonStealStatsInJobSnapshot: the work-stealing counters travel the
-// wire inside each job's stats snapshot, and the NoSteal escape hatch in the
-// submitted ParallelOptions is honored per job.
+// wire inside each job's stats snapshot.
 func TestDaemonStealStatsInJobSnapshot(t *testing.T) {
 	noAmbientDiskCache(t)
 	_, addr := startDaemon(t, Config{})
@@ -493,19 +492,10 @@ func TestDaemonStealStatsInJobSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Stats == nil || !resp.Stats.Steal.Enabled {
-		t.Fatalf("job snapshot must report stealing dispatch: %+v", resp.Stats)
+	if resp.Stats == nil || !resp.Stats.Steal.Shared {
+		t.Fatalf("job snapshot must report dispatch through the shared fleet: %+v", resp.Stats)
 	}
 	if len(resp.Stats.Steal.IdleTime) == 0 {
 		t.Error("per-slot idle decomposition missing from the job snapshot")
-	}
-
-	off, err := cl.Compile(context.Background(), "skew2.w2", wgen.SkewedProgram(2, 4),
-		compiler.Options{}, core.ParallelOptions{NoSteal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Stats.Steal.Enabled {
-		t.Error("NoSteal submitted over the wire must pin static dispatch")
 	}
 }

@@ -3,13 +3,13 @@ package service
 import (
 	"context"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/link"
 	"repro/internal/peercache"
 	"repro/internal/wgen"
@@ -50,7 +50,7 @@ func serveDaemonManually(t *testing.T, cfg Config) (*Daemon, string) {
 
 func TestTwoDaemonPeerSoak(t *testing.T) {
 	noAmbientDiskCache(t)
-	baseline := runtime.NumGoroutine()
+	baseline := leakcheck.Take()
 
 	srcA := wgen.SyntheticProgram(wgen.Small, 8)
 	srcB := wgen.SyntheticProgram(wgen.Medium, 4)
@@ -171,16 +171,5 @@ func TestTwoDaemonPeerSoak(t *testing.T) {
 	}
 	peersB.Close()
 	peerSrvA.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak after peer soak: %d running, baseline %d\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	baseline.Check(t)
 }

@@ -169,8 +169,7 @@ type DaemonStats struct {
 	Clients int64
 	// FleetSteals, FleetCrossBuildSteals, and FleetBatchSplits are the
 	// daemon-lifetime shared stealing fleet's cumulative rebalancing
-	// counters across every job served (all zero under
-	// Config.PerBuildFleets, where each job runs its own fleet).
+	// counters across every job served.
 	FleetSteals           int64
 	FleetCrossBuildSteals int64
 	FleetBatchSplits      int64

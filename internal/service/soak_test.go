@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/cluster/chaos"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/link"
 	"repro/internal/wgen"
 )
@@ -35,7 +35,7 @@ import (
 // CI runs this test alone under -race as the daemon smoke step.
 func TestDaemonChaosSoak(t *testing.T) {
 	noAmbientDiskCache(t)
-	baseline := runtime.NumGoroutine()
+	baseline := leakcheck.Take()
 
 	// Worker fleet: two chaotic workers (drops, delays) and one clean one,
 	// behind the fault-tolerant pool with local fallback enabled.
@@ -287,21 +287,10 @@ func TestDaemonChaosSoak(t *testing.T) {
 	}
 
 	// Goroutine-leak check: after the daemon, pool, and workers are all
-	// down, the count must settle back to near the baseline.
+	// down, nothing started since the baseline may still be running.
 	chaos1.Close()
 	chaos2.Close()
 	ln.Close()
 	pool.Close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak after soak: %d running, baseline %d\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	baseline.Check(t)
 }

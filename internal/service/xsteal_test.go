@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/wgen"
 )
 
@@ -74,7 +74,7 @@ func TestCrossBuildStealParity(t *testing.T) {
 		}
 		for name, resp := range map[string]*Response{"a": a.resp, "b": b.resp} {
 			st := resp.Stats.Steal
-			if !st.Enabled || !st.Shared {
+			if !st.Shared {
 				t.Errorf("workers=%d: job %s must report the shared fleet: %+v", workers, name, st)
 			}
 			if len(st.IdleTime) != workers {
@@ -92,28 +92,6 @@ func TestCrossBuildStealParity(t *testing.T) {
 	}
 }
 
-// TestPerBuildFleetsConfigRestoresPrivateFleets pins the baseline switch:
-// under Config.PerBuildFleets each job reports a private fleet and the
-// daemon publishes no fleet counters.
-func TestPerBuildFleetsConfigRestoresPrivateFleets(t *testing.T) {
-	noAmbientDiskCache(t)
-	d, addr := startDaemon(t, Config{
-		Backend:        cluster.NewLocalPoolWith(2, nil),
-		PerBuildFleets: true,
-	})
-	cl := dialT(t, addr)
-	resp, err := cl.Compile(context.Background(), "m.w2", wgen.MixedProgram(8), compiler.Options{}, core.ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := resp.Stats.Steal; !st.Enabled || st.Shared {
-		t.Errorf("per-build fleets must report Enabled and not Shared: %+v", st)
-	}
-	if ds := d.snapshotStats(); ds.FleetSteals != 0 || ds.FleetCrossBuildSteals != 0 || ds.FleetBatchSplits != 0 {
-		t.Errorf("no shared fleet, no fleet counters: %+v", ds)
-	}
-}
-
 // TestCrossBuildCancellationLeavesSiblingIntact cancels one build while it
 // is pinned in flight on the shared fleet and checks the sibling build
 // completes word-identically, the cancelled build's queued units drain as
@@ -121,7 +99,7 @@ func TestPerBuildFleetsConfigRestoresPrivateFleets(t *testing.T) {
 // leaks, and no goroutines leak.
 func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 	noAmbientDiskCache(t)
-	baseline := runtime.NumGoroutine()
+	baseline := leakcheck.Take()
 
 	pool := cluster.NewLocalPoolWith(2, nil)
 	gated := newGatedBackend(pool)
@@ -208,18 +186,7 @@ func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 
 	// Goroutine-leak check: daemon slots, job goroutines, and conn handlers
 	// must all be gone once the daemon is down.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
-			break
-		} else if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutine leak after cancellation test: %d running, baseline %d\n%s",
-				n, baseline, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	baseline.Check(t)
 }
 
 // TestTinyJobNotStarvedByHugeJob is the daemon-level starvation guard: a
