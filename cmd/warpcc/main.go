@@ -30,6 +30,8 @@
 //	-no-sched             disable instruction scheduling
 //	-stats                print per-function compile statistics
 //	-stats-json           emit the parallel stats as one JSON object on stderr
+//	-cpuprofile FILE      write a CPU profile of the whole run (go tool pprof)
+//	-memprofile FILE      write an allocation profile at exit, after a final GC
 //
 // In daemon mode the objects stay in the daemon, so -S prints no
 // listings; everything else (-run, -verify, -stats) works unchanged.
@@ -43,6 +45,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -84,6 +88,9 @@ func main() {
 		maxRetries  = flag.Int("max-retries", 3, "max failover attempts per request for -mode rpc (0 disables)")
 		dialRetry   = flag.Duration("dial-retry", 500*time.Millisecond, "probe period for readmitting quarantined workers (0 disables)")
 		noFallback  = flag.Bool("no-fallback", false, "fail instead of compiling in-process when no worker is available")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit, after a final GC (view with go tool pprof -sample_index=alloc_space)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -96,6 +103,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
+	// fatal exits without running this: a failed compile leaves no profile.
+	defer stopProfiles()
 
 	opts := compiler.Options{Codegen: codegen.Options{
 		DisablePipelining: *noPipeline,
@@ -412,6 +425,52 @@ func printParallelStats(s *core.ParallelStats) {
 	if s.Faults.Any() {
 		fmt.Printf("faults: %s\n", s.Faults)
 	}
+}
+
+// startProfiles begins the CPU profile (if asked for) and returns the
+// function that ends it and writes the allocation profile. The heap profile
+// is taken after a GC so its in-use numbers are live data, not garbage; its
+// alloc_space sample index is the bytes-per-site view DESIGN.md's "where the
+// bytes go" table was read from.
+func startProfiles(cpuFile, memFile string) (stop func(), err error) {
+	if memFile != "" {
+		// One build allocates tens of MB; the default 512 KB sampling period
+		// would rank its sites from a few dozen samples.
+		runtime.MemProfileRate = 4096
+	}
+	var cpu *os.File
+	if cpuFile != "" {
+		if cpu, err = os.Create(cpuFile); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "warpcc: -cpuprofile:", err)
+			}
+		}
+		if memFile == "" {
+			return
+		}
+		f, err := os.Create(memFile)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "warpcc: -memprofile:", err)
+			return
+		}
+		runtime.GC()
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintln(os.Stderr, "warpcc: -memprofile:", err)
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "warpcc: -memprofile:", err)
+		}
+	}, nil
 }
 
 func fatal(err error) {

@@ -52,11 +52,21 @@ type Object struct {
 // Assemble converts scheduled machine code into an object file. Every block
 // must already carry its final instruction words.
 func Assemble(pf *codegen.PFunc) (*Object, error) {
+	words := 0
+	for _, b := range pf.Blocks {
+		words += len(b.Scheduled)
+	}
 	obj := &Object{
 		Name:    pf.Name,
 		Section: pf.Section,
 		IsEntry: pf.IsEntry,
-		Labels:  make(map[string]int),
+		// The word count is known: one exact allocation, where append from
+		// nil would copy the 144-byte words several times over as it grew.
+		Code:   make([]machine.Word, 0, words),
+		Labels: make(map[string]int, len(pf.Blocks)),
+	}
+	if len(pf.Arrays) > 0 {
+		obj.Data = make([]DataSym, 0, len(pf.Arrays))
 	}
 	for _, a := range pf.Arrays {
 		obj.Data = append(obj.Data, DataSym{Name: dataSymName(pf.Name, a.Sym), Words: a.Words})

@@ -2,6 +2,7 @@ package asm
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,6 +152,67 @@ func TestDecodeNeverPanics(t *testing.T) {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x55
 		_, _ = Decode(mut)
+	}
+}
+
+// TestAssembleCodeExactSize pins the exact-size allocation of the code array:
+// capacity beyond the length would be bytes copied or reserved for nothing.
+func TestAssembleCodeExactSize(t *testing.T) {
+	obj, err := Assemble(samplePFunc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obj.Code) == 0 || cap(obj.Code) != len(obj.Code) {
+		t.Errorf("Code has len %d, cap %d; want cap == len > 0", len(obj.Code), cap(obj.Code))
+	}
+}
+
+// TestDecodeHostileCounts feeds Decode records whose counts promise more
+// than their bytes hold. Each must be an error, not a panic, and must not
+// make Decode allocate for the promised count: a 30-byte record claiming a
+// full program memory used to cost 2.3 MB before the first bounds check.
+func TestDecodeHostileCounts(t *testing.T) {
+	obj, err := Assemble(samplePFunc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := Encode(obj)
+	u32 := func(v uint32) []byte { return le.AppendUint32(nil, v) }
+	header := append(append([]byte("W2OB"), 1, 0), 1, 0, 'f', 1, 0, 0) // version, name "f", section 1, not entry
+	// codeAt is where the valid record's code count sits; its code, labels,
+	// relocations and data follow in that order.
+	codeAt := len(magic) + 2 + strSize(obj.Name) + 2 + 1
+	labelsAt := codeAt + 4 + len(obj.Code)*wordBytes
+	withCount := func(at int, v uint32) []byte {
+		out := append([]byte(nil), valid...)
+		copy(out[at:], u32(v))
+		return out
+	}
+
+	cases := map[string][]byte{
+		"code count of a full program memory, no code":  append(append([]byte(nil), header...), u32(machine.ProgMemWords)...),
+		"code count one word more than the bytes":       append(append(append([]byte(nil), header...), u32(2)...), make([]byte, wordBytes+wordBytes-1)...),
+		"code count beyond program memory":              append(append([]byte(nil), header...), u32(machine.ProgMemWords+1)...),
+		"code count inflated in a valid record":         withCount(codeAt, machine.ProgMemWords),
+		"label count inflated in a valid record":        withCount(labelsAt, 1<<31),
+		"label count 2^32-1 in a valid record":          withCount(labelsAt, 1<<32-1),
+		"no code, relocation count inflated, no relocs": append(append(append(append([]byte(nil), header...), u32(0)...), u32(0)...), u32(1<<30)...),
+		"no code, no relocs, data count inflated":       append(append(append(append(append([]byte(nil), header...), u32(0)...), u32(0)...), u32(0)...), u32(1<<30)...),
+		"valid record cut inside its code":              valid[:codeAt+4+wordBytes/2],
+		"valid record cut before its label count":       valid[:labelsAt],
+		"valid record cut inside its last field":        valid[:len(valid)-1],
+	}
+	for name, data := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Decode allocated %d bytes for a %d-byte record", name, grew, len(data))
+		}
 	}
 }
 

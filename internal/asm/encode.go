@@ -1,9 +1,9 @@
 package asm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"repro/internal/machine"
 )
@@ -23,52 +23,73 @@ var magic = [4]byte{'W', '2', 'O', 'B'}
 
 const version uint16 = 1
 
-// Encode serializes the object to its binary form.
+var le = binary.LittleEndian
+
+// Minimum encoded sizes, which bound a record's counts by its length.
+const (
+	wordBytes  = int(machine.NumUnits) * 8 // (op, dst, a, b, imm i32) per unit
+	labelBytes = 2 + 4                     // empty name, offset
+	relocBytes = 4 + 1 + 1 + 2             // word, unit, kind, empty symbol
+	dataBytes  = 2 + 4                     // empty name, words
+)
+
+// Encode serializes the object to its binary form. The size of every field
+// is fixed or a string length, so the buffer is allocated once at its exact
+// size and filled by appending.
 func Encode(o *Object) []byte {
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	writeU16(&buf, version)
-	writeString(&buf, o.Name)
-	writeU16(&buf, uint16(o.Section))
-	if o.IsEntry {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
+	names := sortedLabelNames(o)
+	size := len(magic) + 2 + strSize(o.Name) + 2 + 1 +
+		4 + len(o.Code)*wordBytes + 4 + 4 + 4
+	for _, name := range names {
+		size += strSize(name) + 4
+	}
+	for _, r := range o.Relocs {
+		size += 4 + 1 + 1 + strSize(r.Sym)
+	}
+	for _, d := range o.Data {
+		size += strSize(d.Name) + 4
 	}
 
-	writeU32(&buf, uint32(len(o.Code)))
-	for _, w := range o.Code {
-		for u := 0; u < int(machine.NumUnits); u++ {
-			in := w[u]
-			buf.WriteByte(byte(in.Op))
-			buf.WriteByte(byte(in.Dst))
-			buf.WriteByte(byte(in.A))
-			buf.WriteByte(byte(in.B))
-			writeI32(&buf, in.Imm)
+	buf := make([]byte, 0, size)
+	buf = append(buf, magic[:]...)
+	buf = le.AppendUint16(buf, version)
+	buf = appendString(buf, o.Name)
+	buf = le.AppendUint16(buf, uint16(o.Section))
+	if o.IsEntry {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+
+	buf = le.AppendUint32(buf, uint32(len(o.Code)))
+	for i := range o.Code {
+		for u := range o.Code[i] {
+			in := &o.Code[i][u]
+			buf = append(buf, byte(in.Op), byte(in.Dst), byte(in.A), byte(in.B))
+			buf = le.AppendUint32(buf, uint32(in.Imm))
 		}
 	}
 
 	// Labels in deterministic order.
-	writeU32(&buf, uint32(len(o.Labels)))
-	for _, name := range sortedLabelNames(o) {
-		writeString(&buf, name)
-		writeU32(&buf, uint32(o.Labels[name]))
+	buf = le.AppendUint32(buf, uint32(len(names)))
+	for _, name := range names {
+		buf = appendString(buf, name)
+		buf = le.AppendUint32(buf, uint32(o.Labels[name]))
 	}
 
-	writeU32(&buf, uint32(len(o.Relocs)))
+	buf = le.AppendUint32(buf, uint32(len(o.Relocs)))
 	for _, r := range o.Relocs {
-		writeU32(&buf, uint32(r.Word))
-		buf.WriteByte(byte(r.Unit))
-		buf.WriteByte(byte(r.Kind))
-		writeString(&buf, r.Sym)
+		buf = le.AppendUint32(buf, uint32(r.Word))
+		buf = append(buf, byte(r.Unit), byte(r.Kind))
+		buf = appendString(buf, r.Sym)
 	}
 
-	writeU32(&buf, uint32(len(o.Data)))
+	buf = le.AppendUint32(buf, uint32(len(o.Data)))
 	for _, d := range o.Data {
-		writeString(&buf, d.Name)
-		writeU32(&buf, uint32(d.Words))
+		buf = appendString(buf, d.Name)
+		buf = le.AppendUint32(buf, uint32(d.Words))
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // Decode parses a binary object file.
@@ -82,7 +103,7 @@ func Decode(data []byte) (*Object, error) {
 	if v := r.u16(); v != version {
 		return nil, fmt.Errorf("unsupported object version %d", v)
 	}
-	o := &Object{Labels: make(map[string]int)}
+	o := &Object{}
 	o.Name = r.str()
 	o.Section = int(r.u16())
 	o.IsEntry = r.u8() != 0
@@ -90,6 +111,11 @@ func Decode(data []byte) (*Object, error) {
 	nCode := int(r.u32())
 	if nCode > machine.ProgMemWords {
 		return nil, fmt.Errorf("object code %d words exceeds program memory", nCode)
+	}
+	// A count is trusted only as far as the bytes behind it: a short hostile
+	// record must not make Decode allocate a program memory's worth of words.
+	if err := r.need(nCode, wordBytes, "code words"); err != nil {
+		return nil, err
 	}
 	o.Code = make([]machine.Word, nCode)
 	for i := 0; i < nCode; i++ {
@@ -108,6 +134,10 @@ func Decode(data []byte) (*Object, error) {
 	}
 
 	nLabels := int(r.u32())
+	if err := r.need(nLabels, labelBytes, "labels"); err != nil {
+		return nil, err
+	}
+	o.Labels = make(map[string]int, nLabels)
 	for i := 0; i < nLabels; i++ {
 		if r.err != nil {
 			return nil, r.err
@@ -121,6 +151,12 @@ func Decode(data []byte) (*Object, error) {
 	}
 
 	nRelocs := int(r.u32())
+	if err := r.need(nRelocs, relocBytes, "relocations"); err != nil {
+		return nil, err
+	}
+	if nRelocs > 0 {
+		o.Relocs = make([]Reloc, 0, nRelocs)
+	}
 	for i := 0; i < nRelocs; i++ {
 		if r.err != nil {
 			return nil, r.err
@@ -137,6 +173,12 @@ func Decode(data []byte) (*Object, error) {
 	}
 
 	nData := int(r.u32())
+	if err := r.need(nData, dataBytes, "data symbols"); err != nil {
+		return nil, err
+	}
+	if nData > 0 {
+		o.Data = make([]DataSym, 0, nData)
+	}
 	for i := 0; i < nData; i++ {
 		if r.err != nil {
 			return nil, r.err
@@ -157,31 +199,42 @@ func sortedLabelNames(o *Object) []string {
 	for n := range o.Labels {
 		names = append(names, n)
 	}
-	// insertion sort keeps this file free of extra imports
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	sort.Strings(names)
 	return names
 }
 
-func writeU16(b *bytes.Buffer, v uint16) { binary.Write(b, binary.LittleEndian, v) }
-func writeU32(b *bytes.Buffer, v uint32) { binary.Write(b, binary.LittleEndian, v) }
-func writeI32(b *bytes.Buffer, v int32)  { binary.Write(b, binary.LittleEndian, v) }
+// strSize is the encoded size of s: a u16 length and at most 0xffff bytes.
+func strSize(s string) int {
+	if len(s) > 0xffff {
+		return 2 + 0xffff
+	}
+	return 2 + len(s)
+}
 
-func writeString(b *bytes.Buffer, s string) {
+func appendString(b []byte, s string) []byte {
 	if len(s) > 0xffff {
 		s = s[:0xffff]
 	}
-	writeU16(b, uint16(len(s)))
-	b.WriteString(s)
+	b = le.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
 }
 
 type reader struct {
 	data []byte
 	pos  int
 	err  error
+}
+
+// need reports an error unless count records of at least each bytes can
+// still follow, which bounds what the caller allocates for them.
+func (r *reader) need(count, each int, what string) error {
+	if r.err != nil {
+		return r.err
+	}
+	if count < 0 || count > (len(r.data)-r.pos)/each {
+		return fmt.Errorf("truncated object file: %d %s at offset %d of %d bytes", count, what, r.pos, len(r.data))
+	}
+	return nil
 }
 
 func (r *reader) bytes(out []byte) {
@@ -221,7 +274,11 @@ func (r *reader) str() string {
 	if r.err != nil {
 		return ""
 	}
-	b := make([]byte, n)
-	r.bytes(b)
-	return string(b)
+	if r.pos+n > len(r.data) {
+		r.err = fmt.Errorf("truncated object file at offset %d", r.pos)
+		return ""
+	}
+	s := string(r.data[r.pos : r.pos+n])
+	r.pos += n
+	return s
 }

@@ -171,12 +171,13 @@ const retValueMarker ir.VReg = -1
 func detectCountedLoops(mf *MFunc) {
 	// Gather definition counts and the single defining op of each
 	// once-defined register.
-	defCount := make(map[ir.VReg]int)
-	singleDef := make(map[ir.VReg]MOp)
+	// Both tables are indexed by vreg; the $retval marker is not one.
+	defCount := make([]int, mf.NumVRegs+1)
+	singleDef := make([]*MOp, mf.NumVRegs+1)
 	for _, b := range mf.Blocks {
-		for _, op := range b.Ops {
-			info := machine.Info(op.Op)
-			if info.HasDst && op.Dst != ir.None {
+		for i := range b.Ops {
+			op := &b.Ops[i]
+			if machine.Info(op.Op).HasDst && op.Dst > 0 {
 				defCount[op.Dst]++
 				singleDef[op.Dst] = op
 			}
@@ -187,7 +188,7 @@ func detectCountedLoops(mf *MFunc) {
 	// copy when the loop bound is captured into a loop-invariant temp).
 	constOf := func(r ir.VReg) (int32, bool) {
 		for hops := 0; hops < 8; hops++ {
-			if defCount[r] != 1 {
+			if r <= 0 || defCount[r] != 1 {
 				return 0, false
 			}
 			def := singleDef[r]
@@ -283,12 +284,13 @@ func analyzeCountedLoop(mf *MFunc, b *MBlock, preds map[*MBlock][]*MBlock, const
 	// The condition must be defined exactly once in this block (loop
 	// inversion legitimately duplicates the test into the preheader) and
 	// used only by the loop-back branch.
+	var ub [2]ir.VReg
 	for i := 0; i < n; i++ {
 		if i != cmpIdx && b.Ops[i].Dst == bt.A && machine.Info(b.Ops[i].Op).HasDst {
 			return nil
 		}
 		if i != n-2 {
-			for _, u := range opUses(&b.Ops[i]) {
+			for _, u := range opUses(&b.Ops[i], &ub) {
 				if u == bt.A {
 					return nil
 				}

@@ -60,7 +60,7 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 
 	// Body ops: everything except the comparison, the loop-back BT and the
 	// exit JMP.
-	var body []POp
+	body := make([]POp, 0, n)
 	for i := 0; i < n; i++ {
 		if i == li.CmpIdx || i == li.BranchIdx || i == n-1 {
 			continue
@@ -78,8 +78,9 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 	// The branch condition register must not be used by the body (it is
 	// replaced by the new kernel counter).
 	condReg := b.Ops[li.BranchIdx].A
+	var ub [2]machine.Reg
 	for i := range body {
-		for _, u := range physUses(&body[i]) {
+		for _, u := range physUses(&body[i], &ub) {
 			if u == condReg {
 				res.Reason = "condition register used by body"
 				return nil, res
@@ -107,8 +108,9 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 	}
 
 	edges := moduloDeps(body)
+	g := newModGraph(body, edges)
 	mii := resMII(body)
-	if rec := recMIILower(body, edges); rec > mii {
+	if rec := recMIILower(g); rec > mii {
 		mii = rec
 	}
 	if mii < 1 {
@@ -128,7 +130,7 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 
 	// An II at or beyond the critical path of one iteration cannot overlap
 	// iterations; the pipeliner would degenerate to list scheduling.
-	critical := criticalPathLen(body, edges)
+	critical := g.criticalPathLen()
 	if mii >= critical {
 		res.Reason = "recurrence spans the whole iteration (no overlap possible)"
 		return nil, res
@@ -136,9 +138,11 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 
 	attempts := 0
 	budgetFails := 0
-	for ii := mii; ii <= maxII && ii < critical && attempts < 8 && budgetFails < 2; ii++ {
+	const maxAttempts = 8
+	g.mrt = make([][machine.NumUnits]int, min(maxII, critical-1, mii+maxAttempts-1))
+	for ii := mii; ii <= maxII && ii < critical && attempts < maxAttempts && budgetFails < 2; ii++ {
 		attempts++
-		sched, ok, exhausted := moduloSchedule(body, edges, ii)
+		sched, ok, exhausted := g.schedule(ii)
 		if exhausted {
 			// The eviction search is thrashing; the same structure will
 			// thrash at nearby IIs too, so give up quickly and fall back
@@ -193,7 +197,8 @@ func touches(op *POp, r machine.Reg) bool {
 	if info.HasDst && op.Dst == r {
 		return true
 	}
-	for _, u := range physUses(op) {
+	var ub [2]machine.Reg
+	for _, u := range physUses(op, &ub) {
 		if u == r {
 			return true
 		}
@@ -228,8 +233,9 @@ func resMII(body []POp) int {
 // search with Bellman-Ford positive-cycle detection. If even hi fails it
 // returns hi+1 (the caller's search range is then empty).
 func recMIIExact(n int, edges []modEdge, lo, hi int) int {
+	dist := make([]int64, n)
 	feasible := func(ii int) bool {
-		dist := make([]int64, n)
+		clear(dist)
 		for pass := 0; pass <= n; pass++ {
 			changed := false
 			for _, e := range edges {
@@ -263,22 +269,11 @@ func recMIIExact(n int, edges []modEdge, lo, hi int) int {
 }
 
 // criticalPathLen returns the longest dist-0 dependence chain of one
-// iteration (including the final latency), i.e. the single-iteration span.
-func criticalPathLen(body []POp, edges []modEdge) int {
-	n := len(body)
-	height := make([]int, n)
+// iteration (including the final latency), i.e. the single-iteration span:
+// the greatest height.
+func (g *modGraph) criticalPathLen() int {
 	longest := 0
-	// Edges go forward in program order for dist-0 dependences.
-	for i := n - 1; i >= 0; i-- {
-		h := machine.Info(body[i].Op).Latency
-		for _, e := range edges {
-			if e.dist == 0 && e.from == i {
-				if v := height[e.to] + e.delay; v > h {
-					h = v
-				}
-			}
-		}
-		height[i] = h
+	for _, h := range g.height {
 		if h > longest {
 			longest = h
 		}
@@ -289,28 +284,24 @@ func criticalPathLen(body []POp, edges []modEdge) int {
 // recMIILower computes a cheap lower bound from self-edges and simple
 // two-cycles (the dominant recurrences in practice: accumulators and
 // induction variables).
-func recMIILower(body []POp, edges []modEdge) int {
+func recMIILower(g *modGraph) int {
 	m := 1
 	// delay/distance over each edge with dist>0 whose endpoints coincide.
-	for _, e := range edges {
+	for _, e := range g.edges {
 		if e.dist > 0 && e.from == e.to && e.delay > m {
 			m = e.delay
 		}
 	}
 	// Two-op cycles a->b (dist 0), b->a (dist 1).
-	fwd := make(map[[2]int]int)
-	for _, e := range edges {
-		if e.dist == 0 {
-			k := [2]int{e.from, e.to}
-			if e.delay > fwd[k] {
-				fwd[k] = e.delay
-			}
+	for _, e := range g.edges {
+		if e.dist != 1 {
+			continue
 		}
-	}
-	for _, e := range edges {
-		if e.dist == 1 {
-			if d, ok := fwd[[2]int{e.to, e.from}]; ok {
-				if c := d + e.delay; c > m {
+		for _, f := range g.succsOf(e.to) {
+			// Only positive forward delays count, as they always have; a
+			// tighter bound would change nothing, recMIIExact dominates it.
+			if f.dist == 0 && f.to == e.from && f.delay > 0 {
+				if c := f.delay + e.delay; c > m {
 					m = c
 				}
 			}
@@ -344,9 +335,10 @@ func moduloDeps(body []POp) []modEdge {
 		}
 		return ri
 	}
+	var ub [2]machine.Reg
 	for i := range body {
 		info := machine.Info(body[i].Op)
-		for _, u := range physUses(&body[i]) {
+		for _, u := range physUses(&body[i], &ub) {
 			if u != machine.RZero {
 				get(u).uses = append(get(u).uses, i)
 			}
@@ -472,51 +464,125 @@ func moduloDeps(body []POp) []modEdge {
 	return edges
 }
 
-// moduloSchedule implements Rau-style iterative modulo scheduling for a
-// fixed II. It returns per-op issue cycles within [0, S*II), ok=false on
-// failure, and exhausted=true when the eviction budget ran out (a thrash
-// signal distinct from a provable edge violation).
-func moduloSchedule(body []POp, edges []modEdge, ii int) ([]int, bool, bool) {
+// modGraph is one loop body's modulo-scheduling problem: the II-independent
+// dependence graph and priorities, built once per TryPipeline, and the tables
+// an attempt at one II fills, which every attempt reuses. It belongs to the
+// goroutine running that TryPipeline.
+type modGraph struct {
+	body  []POp
+	edges []modEdge
+	// preds[predOff[i]:predOff[i+1]] are the edges into op i and
+	// succs[succOff[i]:succOff[i+1]] the edges out of it, both in edges'
+	// order.
+	preds, succs     []modEdge
+	predOff, succOff []int
+	// height is each op's priority, its height in the dist-0 DAG; order lists
+	// the ops by descending height, ties by index.
+	height, order []int
+
+	// Per-attempt state, reset by schedule. mrt is the modulo reservation
+	// table at the largest II that will be tried, re-sliced per attempt; it
+	// holds op+1, 0 meaning free.
+	mrt                        [][machine.NumUnits]int
+	sched, lastTime, worklist  []int
+	placed, everPlaced, inList []bool
+}
+
+func newModGraph(body []POp, edges []modEdge) *modGraph {
 	n := len(body)
-	preds := make([][]modEdge, n)
-	succs := make([][]modEdge, n)
-	for _, e := range edges {
-		preds[e.to] = append(preds[e.to], e)
-		succs[e.from] = append(succs[e.from], e)
+	ints := make([]int, 7*n+2)
+	takeInts := func(k int) []int {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	bools := make([]bool, 3*n)
+	g := &modGraph{
+		body:    body,
+		edges:   edges,
+		preds:   make([]modEdge, len(edges)),
+		succs:   make([]modEdge, len(edges)),
+		predOff: takeInts(n + 1),
+		succOff: takeInts(n + 1),
+		height:  takeInts(n),
+		order:   takeInts(n),
+
+		sched:      takeInts(n),
+		lastTime:   takeInts(n),
+		worklist:   takeInts(n)[:0],
+		placed:     bools[0:n:n],
+		everPlaced: bools[n : 2*n : 2*n],
+		inList:     bools[2*n:],
 	}
 
-	// Priority: height in the dist-0 DAG.
-	height := make([]int, n)
+	// Counting sort of the edges by endpoint keeps each op's edges in the
+	// order moduloDeps emitted them.
+	for _, e := range edges {
+		g.predOff[e.to+1]++
+		g.succOff[e.from+1]++
+	}
+	for i := 0; i < n; i++ {
+		g.predOff[i+1] += g.predOff[i]
+		g.succOff[i+1] += g.succOff[i]
+	}
+	// sched and lastTime are free until the first attempt: they serve as the
+	// fill cursors.
+	pfill, sfill := g.sched, g.lastTime
+	copy(pfill, g.predOff[:n])
+	copy(sfill, g.succOff[:n])
+	for _, e := range edges {
+		g.preds[pfill[e.to]] = e
+		pfill[e.to]++
+		g.succs[sfill[e.from]] = e
+		sfill[e.from]++
+	}
+
+	// Priority: height in the dist-0 DAG (those edges go forward in program
+	// order).
 	for i := n - 1; i >= 0; i-- {
 		h := machine.Info(body[i].Op).Latency
-		for _, e := range succs[i] {
+		for _, e := range g.succsOf(i) {
 			if e.dist == 0 {
-				if v := height[e.to] + e.delay; v > h {
+				if v := g.height[e.to] + e.delay; v > h {
 					h = v
 				}
 			}
 		}
-		height[i] = h
+		g.height[i] = h
 	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+	for i := range g.order {
+		g.order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if height[order[a]] != height[order[b]] {
-			return height[order[a]] > height[order[b]]
+	sort.Slice(g.order, func(a, b int) bool {
+		if g.height[g.order[a]] != g.height[g.order[b]] {
+			return g.height[g.order[a]] > g.height[g.order[b]]
 		}
-		return order[a] < order[b]
+		return g.order[a] < g.order[b]
 	})
+	return g
+}
 
-	sched := make([]int, n)
-	placed := make([]bool, n)
-	mrt := make([][machine.NumUnits]int, ii) // -1-free encoding via op+1
-	for c := range mrt {
-		for u := range mrt[c] {
-			mrt[c][u] = 0
-		}
-	}
+func (g *modGraph) predsOf(i int) []modEdge { return g.preds[g.predOff[i]:g.predOff[i+1]] }
+func (g *modGraph) succsOf(i int) []modEdge { return g.succs[g.succOff[i]:g.succOff[i+1]] }
+
+// schedule implements Rau-style iterative modulo scheduling for a fixed II.
+// It returns per-op issue cycles within [0, S*II), ok=false on failure, and
+// exhausted=true when the eviction budget ran out (a thrash signal distinct
+// from a provable edge violation). The returned slice is g's own and is
+// overwritten by the next attempt.
+func (g *modGraph) schedule(ii int) ([]int, bool, bool) {
+	body, edges, height := g.body, g.edges, g.height
+	n := len(body)
+
+	sched, placed := g.sched, g.placed
+	lastTime, everPlaced, inList := g.lastTime, g.everPlaced, g.inList
+	clear(sched)
+	clear(placed)
+	clear(lastTime)
+	clear(everPlaced)
+	clear(inList)
+	mrt := g.mrt[:ii]
+	clear(mrt)
 
 	reserve := func(i, t int, set bool) bool {
 		info := machine.Info(body[i].Op)
@@ -549,10 +615,7 @@ func moduloSchedule(body []POp, edges []modEdge, ii int) ([]int, bool, bool) {
 	}
 
 	budget := n * ii * 8
-	lastTime := make([]int, n)
-	everPlaced := make([]bool, n)
-	inList := make([]bool, n)
-	var worklist []int
+	worklist := g.worklist[:0]
 	push := func(i int) {
 		if !inList[i] {
 			inList[i] = true
@@ -572,7 +635,7 @@ func moduloSchedule(body []POp, edges []modEdge, ii int) ([]int, bool, bool) {
 		inList[i] = false
 		return i
 	}
-	for _, i := range order {
+	for _, i := range g.order {
 		push(i)
 	}
 
@@ -588,7 +651,7 @@ func moduloSchedule(body []POp, edges []modEdge, ii int) ([]int, bool, bool) {
 
 		// Earliest start from scheduled predecessors.
 		e := 0
-		for _, pe := range preds[i] {
+		for _, pe := range g.predsOf(i) {
 			if placed[pe.from] {
 				if v := sched[pe.from] + pe.delay - pe.dist*ii; v > e {
 					e = v
@@ -643,7 +706,7 @@ func moduloSchedule(body []POp, edges []modEdge, ii int) ([]int, bool, bool) {
 			DebugHook("    placed op %d at t=%d (worklist %d)", i, sched[i], len(worklist))
 		}
 		// Scheduling i may violate successors already placed; evict them.
-		for _, se := range succs[i] {
+		for _, se := range g.succsOf(i) {
 			if placed[se.to] && se.to != i {
 				if sched[se.to] < sched[i]+se.delay-se.dist*ii {
 					unreserve(se.to)
@@ -851,17 +914,19 @@ func renameLoopTemps(pf *PFunc, b *PBlock, body []POp) int {
 	usedElsewhere := make(map[machine.Reg]bool)
 	usedAnywhere := make(map[machine.Reg]bool)
 	scan := func(ops []POp, outside bool) {
-		for i := range ops {
-			info := machine.Info(ops[i].Op)
-			regs := physUses(&ops[i])
-			if info.HasDst {
-				regs = append(regs, ops[i].Dst)
+		var ub [2]machine.Reg
+		mark := func(r machine.Reg) {
+			usedAnywhere[r] = true
+			if outside {
+				usedElsewhere[r] = true
 			}
-			for _, r := range regs {
-				usedAnywhere[r] = true
-				if outside {
-					usedElsewhere[r] = true
-				}
+		}
+		for i := range ops {
+			for _, r := range physUses(&ops[i], &ub) {
+				mark(r)
+			}
+			if machine.Info(ops[i].Op).HasDst {
+				mark(ops[i].Dst)
 			}
 		}
 	}
@@ -925,9 +990,10 @@ func candidateTemps(body []POp) []tempReg {
 	}
 	occs := make(map[machine.Reg]*occ)
 	order := []machine.Reg{}
+	var ub [2]machine.Reg
 	for i := range body {
 		info := machine.Info(body[i].Op)
-		for _, u := range physUses(&body[i]) {
+		for _, u := range physUses(&body[i], &ub) {
 			if u == machine.RZero {
 				continue
 			}

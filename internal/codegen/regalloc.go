@@ -79,10 +79,11 @@ func (f *PFunc) String() string {
 	return s
 }
 
-// opUses returns the vregs read by a machine op (respecting its shape).
-func opUses(op *MOp) []ir.VReg {
+// opUses returns the vregs read by a machine op (respecting its shape), in
+// buf: a loop over many ops lends one array to every call.
+func opUses(op *MOp, buf *[2]ir.VReg) []ir.VReg {
 	info := machine.Info(op.Op)
-	var out []ir.VReg
+	out := buf[:0]
 	if info.NumSrc >= 1 && op.A > 0 {
 		out = append(out, op.A)
 	}
@@ -219,65 +220,63 @@ type interval struct {
 // live-in) to its last occurrence (or the end of any block where it is
 // live-out).
 func buildIntervals(mf *MFunc) []interval {
-	// Block successor map via labels.
-	byLabel := make(map[string]*MBlock, len(mf.Blocks))
-	for _, b := range mf.Blocks {
-		byLabel[b.Label] = b
+	// Block successors, by position in mf.Blocks, via labels.
+	byLabel := make(map[string]int, len(mf.Blocks))
+	for i, b := range mf.Blocks {
+		byLabel[b.Label] = i
 	}
-	succs := make(map[*MBlock][]*MBlock)
-	for _, b := range mf.Blocks {
+	succs := make([][]int, len(mf.Blocks))
+	for i, b := range mf.Blocks {
 		for _, op := range b.Ops {
 			if (op.Op == machine.JMP || op.Op == machine.BT || op.Op == machine.BF) && op.Sym != "" {
 				if t, ok := byLabel[op.Sym]; ok {
-					succs[b] = append(succs[b], t)
+					succs[i] = append(succs[i], t)
 				}
 			}
 		}
 	}
 
+	// Four register sets per block — use, def, live-in, live-out — as rows
+	// of one bit matrix, allocated once for the whole function.
 	n := mf.NumVRegs + 1
-	use := make(map[*MBlock]ir.VReg) // placeholder to silence linters; replaced below
-	_ = use
-
-	useSet := make(map[*MBlock][]bool)
-	defSet := make(map[*MBlock][]bool)
-	liveIn := make(map[*MBlock][]bool)
-	liveOut := make(map[*MBlock][]bool)
-	for _, b := range mf.Blocks {
-		u, d := make([]bool, n), make([]bool, n)
-		for i := range b.Ops {
-			op := &b.Ops[i]
-			for _, r := range opUses(op) {
-				if !d[r] {
-					u[r] = true
+	words := (n + 63) / 64
+	bits := make([]uint64, 4*len(mf.Blocks)*words)
+	const useRow, defRow, inRow, outRow = 0, 1, 2, 3
+	row := func(block, which int) []uint64 {
+		at := (4*block + which) * words
+		return bits[at : at+words]
+	}
+	var ub [2]ir.VReg
+	for i, b := range mf.Blocks {
+		u, d := row(i, useRow), row(i, defRow)
+		for k := range b.Ops {
+			op := &b.Ops[k]
+			for _, r := range opUses(op, &ub) {
+				if !hasBit(d, r) {
+					setBit(u, r)
 				}
 			}
 			if dst := opDef(op); dst != ir.None {
-				d[dst] = true
+				setBit(d, dst)
 			}
 		}
-		useSet[b], defSet[b] = u, d
-		liveIn[b] = make([]bool, n)
-		liveOut[b] = make([]bool, n)
 	}
 	for changed := true; changed; {
 		changed = false
 		for i := len(mf.Blocks) - 1; i >= 0; i-- {
-			b := mf.Blocks[i]
-			out := liveOut[b]
-			for _, s := range succs[b] {
-				for v, lv := range liveIn[s] {
-					if lv && !out[v] {
-						out[v] = true
+			out := row(i, outRow)
+			for _, s := range succs[i] {
+				for w, lv := range row(s, inRow) {
+					if lv&^out[w] != 0 {
+						out[w] |= lv
 						changed = true
 					}
 				}
 			}
-			in := liveIn[b]
-			for v := 1; v < n; v++ {
-				nv := useSet[b][v] || (out[v] && !defSet[b][v])
-				if nv && !in[v] {
-					in[v] = true
+			in, u, d := row(i, inRow), row(i, useRow), row(i, defRow)
+			for w := range in {
+				if nv := u[w] | out[w]&^d[w]; nv&^in[w] != 0 {
+					in[w] |= nv
 					changed = true
 				}
 			}
@@ -286,10 +285,8 @@ func buildIntervals(mf *MFunc) []interval {
 
 	// Positions: global op index; block start/end positions bracket its ops.
 	pos := 0
-	starts := make([]int, 0, n)
-	ends := make([]int, 0, n)
-	starts = append(starts, make([]int, n)...)
-	ends = append(ends, make([]int, n)...)
+	starts := make([]int, n)
+	ends := make([]int, n)
 	seen := make([]bool, n)
 	touch := func(v ir.VReg, p int) {
 		if v <= 0 {
@@ -308,11 +305,11 @@ func buildIntervals(mf *MFunc) []interval {
 			}
 		}
 	}
-	for _, b := range mf.Blocks {
+	for bi, b := range mf.Blocks {
 		blockStart := pos
 		for i := range b.Ops {
 			op := &b.Ops[i]
-			for _, r := range opUses(op) {
+			for _, r := range opUses(op, &ub) {
 				touch(r, pos)
 			}
 			if dst := opDef(op); dst != ir.None {
@@ -324,11 +321,12 @@ func buildIntervals(mf *MFunc) []interval {
 		if blockEnd < blockStart {
 			blockEnd = blockStart
 		}
+		in, out := row(bi, inRow), row(bi, outRow)
 		for v := 1; v < n; v++ {
-			if liveIn[b][v] {
+			if hasBit(in, ir.VReg(v)) {
 				touch(ir.VReg(v), blockStart)
 			}
-			if liveOut[b][v] {
+			if hasBit(out, ir.VReg(v)) {
 				touch(ir.VReg(v), blockEnd)
 			}
 		}
@@ -342,6 +340,10 @@ func buildIntervals(mf *MFunc) []interval {
 	}
 	return out
 }
+
+// hasBit and setBit treat a row of words as a set of (positive) vregs.
+func hasBit(row []uint64, v ir.VReg) bool { return row[v/64]&(1<<(v%64)) != 0 }
+func setBit(row []uint64, v ir.VReg)      { row[v/64] |= 1 << (v % 64) }
 
 // rewriteOp translates one MOp into POps, inserting spill loads/stores.
 func rewriteOp(pb *PBlock, op *MOp, assignment map[ir.VReg]machine.Reg, spilled map[ir.VReg]string) error {

@@ -45,14 +45,12 @@ func buildDeps(ops []POp) [][]depEdge {
 	lastStore := make(map[string]int)
 	loadsSince := make(map[string][]int)
 	lastIO := -1
-	for r := range lastDef {
-		delete(lastDef, r)
-	}
+	var ub [2]machine.Reg
 	for i := range ops {
 		op := &ops[i]
 		info := machine.Info(op.Op)
 
-		uses := physUses(op)
+		uses := physUses(op, &ub)
 		for _, r := range uses {
 			if r == machine.RZero {
 				continue
@@ -97,10 +95,11 @@ func buildDeps(ops []POp) [][]depEdge {
 	return edges
 }
 
-// physUses returns the source registers of a physical op.
-func physUses(op *POp) []machine.Reg {
+// physUses returns the source registers of a physical op, in buf: a loop
+// over many ops lends one array to every call and so allocates nothing.
+func physUses(op *POp, buf *[2]machine.Reg) []machine.Reg {
 	info := machine.Info(op.Op)
-	var out []machine.Reg
+	out := buf[:0]
 	if info.NumSrc >= 1 {
 		out = append(out, op.A)
 	}

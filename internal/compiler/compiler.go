@@ -177,16 +177,18 @@ func CompileFunction(m *ast.Module, info *sem.Info, fn *ast.FuncDecl, opts Optio
 // else. The returned flowgraph is shared: clone before mutating.
 func funcIR(cache *fcache.Cache, fe *fcache.FrontendEntry, sec *ast.Section, idx int) (*ir.Func, error) {
 	fn := sec.Funcs[idx]
-	return cache.FuncIR(fe.FuncHashes[fcache.FuncKey{Section: sec.Index, Index: idx}], func() (*ir.Func, error) {
+	key := fcache.FuncKey{Section: sec.Index, Index: idx}
+	return cache.FuncIR(fe.FuncHashes[key], func() (*ir.Func, error) {
 		f, err := ir.Lower(fn, fe.Info)
 		if err != nil {
 			return nil, fmt.Errorf("lowering %s: %w", fn.Name, err)
 		}
-		// Resolve the direct callees' (already inlined, call-free) flowgraphs;
-		// building the name map in ascending declaration order reproduces
-		// latest-declaration-wins resolution.
-		callees := make(map[string]*ir.Func)
-		for _, j := range parser.DirectCalls(sec, idx) {
+		// Resolve the direct callees' (already inlined, call-free) flowgraphs.
+		// fe.Calls already resolved each called name to its latest earlier
+		// declaration, so distinct indices here carry distinct names.
+		direct := fe.Calls[key]
+		callees := make(map[string]*ir.Func, len(direct))
+		for _, j := range direct {
 			cf, err := funcIR(cache, fe, sec, j)
 			if err != nil {
 				return nil, err

@@ -99,10 +99,13 @@ func FrontendWith(ctx context.Context, file string, src []byte, fopts FrontendOp
 func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, src []byte) (*fcache.FrontendEntry, int64) {
 	e := &fcache.FrontendEntry{Module: m, Info: info, Bag: bag}
 	if m != nil && !bag.HasErrors() {
-		hs := parser.FuncHashes(m, src)
+		hs, calls := parser.HashFuncs(m, src)
 		e.FuncHashes = make(map[fcache.FuncKey]fcache.FuncHash, len(hs))
+		e.Calls = make(map[fcache.FuncKey][]int, len(calls))
 		for k, v := range hs {
-			e.FuncHashes[fcache.FuncKey{Section: k.Section, Index: k.Index}] = fcache.FuncHash(v)
+			fk := fcache.FuncKey{Section: k.Section, Index: k.Index}
+			e.FuncHashes[fk] = fcache.FuncHash(v)
+			e.Calls[fk] = calls[k]
 		}
 	}
 	// The checked AST is a few times larger than its source text; the

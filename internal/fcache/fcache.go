@@ -236,6 +236,12 @@ type FrontendEntry struct {
 	// source alongside the checked AST so every per-function compile keys
 	// its IR and object lookups without re-deriving spans.
 	FuncHashes map[FuncKey]FuncHash
+	// Calls maps every function to the indices (ascending) of the earlier
+	// same-section functions it calls directly — parser.DirectCalls, from
+	// the one name index per section that FuncHashes was computed on, so a
+	// function compile resolves its callees without indexing the section
+	// again.
+	Calls map[FuncKey][]int
 }
 
 // ObjectEntry is one finished per-function compilation artifact — the value

@@ -8,7 +8,7 @@ package ir
 // depth-first traversal from the entry. Unreachable blocks are excluded.
 func ReversePostorder(f *Func) []*Block {
 	seen := make(map[*Block]bool, len(f.Blocks))
-	var post []*Block
+	post := make([]*Block, 0, len(f.Blocks))
 	var dfs func(b *Block)
 	dfs = func(b *Block) {
 		seen[b] = true

@@ -148,16 +148,19 @@ type Instr struct {
 }
 
 // Uses returns the virtual registers read by the instruction.
-func (in *Instr) Uses() []VReg {
-	var out []VReg
+func (in *Instr) Uses() []VReg { return in.AppendUses(nil) }
+
+// AppendUses appends the virtual registers read by the instruction to dst
+// and returns it. A loop over many instructions passes buf[:0] of one small
+// array each time and so visits them without allocating.
+func (in *Instr) AppendUses(dst []VReg) []VReg {
 	if in.A != None {
-		out = append(out, in.A)
+		dst = append(dst, in.A)
 	}
 	if in.B != None {
-		out = append(out, in.B)
+		dst = append(dst, in.B)
 	}
-	out = append(out, in.Args...)
-	return out
+	return append(dst, in.Args...)
 }
 
 // Def returns the register written by the instruction, or None.
@@ -336,10 +339,17 @@ func (f *Func) RecomputeEdges() {
 // RemoveUnreachable deletes blocks not reachable from the entry and
 // renumbers the survivors. It returns the number of removed blocks.
 func (f *Func) RemoveUnreachable() int {
-	reach := make(map[*Block]bool)
-	var stack []*Block
+	// Number the blocks by position first, so a flag per position can stand
+	// for a set of blocks: this runs once per merged block pair, and a map
+	// per run was most of what it cost. The survivors are renumbered below
+	// either way.
+	for i, b := range f.Blocks {
+		b.ID = i
+	}
+	reach := make([]bool, len(f.Blocks))
+	stack := make([]*Block, 0, len(f.Blocks))
 	stack = append(stack, f.Entry())
-	reach[f.Entry()] = true
+	reach[0] = true
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -347,17 +357,18 @@ func (f *Func) RemoveUnreachable() int {
 		if t == nil {
 			continue
 		}
-		for _, s := range []*Block{t.Then, t.Else} {
-			if s != nil && !reach[s] {
-				reach[s] = true
+		for _, s := range [...]*Block{t.Then, t.Else} {
+			// A target that is not one of f's blocks cannot be kept anyway.
+			if s != nil && uint(s.ID) < uint(len(f.Blocks)) && f.Blocks[s.ID] == s && !reach[s.ID] {
+				reach[s.ID] = true
 				stack = append(stack, s)
 			}
 		}
 	}
 	kept := f.Blocks[:0]
 	removed := 0
-	for _, b := range f.Blocks {
-		if reach[b] {
+	for i, b := range f.Blocks {
+		if reach[i] {
 			kept = append(kept, b)
 		} else {
 			removed++
@@ -408,6 +419,7 @@ func (f *Func) Validate() error {
 	for _, b := range f.Blocks {
 		inFunc[b] = true
 	}
+	var uses [8]VReg
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("func %s: block b%d is empty", f.Name, b.ID)
@@ -417,7 +429,7 @@ func (f *Func) Validate() error {
 			if in.Op.IsTerminator() && i != len(b.Instrs)-1 {
 				return fmt.Errorf("func %s: b%d has terminator %s mid-block", f.Name, b.ID, in)
 			}
-			for _, u := range in.Uses() {
+			for _, u := range in.AppendUses(uses[:0]) {
 				if int(u) >= len(f.kinds) {
 					return fmt.Errorf("func %s: b%d uses unallocated vreg %s in %q", f.Name, b.ID, u, in)
 				}

@@ -17,6 +17,7 @@ func Lower(fn *ast.FuncDecl, info *sem.Info) (*Func, error) {
 		info:   info,
 		vars:   make(map[*sem.Object]VReg),
 		arrays: make(map[*sem.Object]string),
+		arena:  make([]Instr, 0, estimateInstrs(fn, info)),
 	}
 	lw.cur = lw.f.Entry()
 
@@ -84,6 +85,35 @@ type lowerer struct {
 	vars   map[*sem.Object]VReg
 	arrays map[*sem.Object]string
 	loops  []loopTargets
+
+	// arena is one array, sized from an estimate of the function's
+	// instruction count, that the blocks' Instrs are carved from: lowering
+	// fills one block at a time, so each grows in place at the arena's tail
+	// (the block there is tail) instead of doubling a slice of its own. Every
+	// block's slice has cap == len, so a later append to it copies out and
+	// cannot reach its neighbour.
+	arena []Instr
+	tail  *Block
+}
+
+// estimateInstrs predicts how many instructions lowering fn emits: about one
+// per statement and per non-identifier expression (a scalar identifier is a
+// register, not an instruction), a handful per loop for its bounds, step and
+// test, and one zero-initialization per local. An estimate that falls short
+// costs only the ordinary slice growth it was meant to avoid.
+func estimateInstrs(fn *ast.FuncDecl, info *sem.Info) int {
+	n := len(info.Locals[fn]) + 8
+	ast.Inspect(fn.Body, func(node ast.Node) bool {
+		switch node.(type) {
+		case *ast.Ident:
+		case *ast.For, *ast.While:
+			n += 6
+		case ast.Expr, ast.Stmt:
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 func (lw *lowerer) emit(in Instr) {
@@ -92,7 +122,20 @@ func (lw *lowerer) emit(in Instr) {
 		// detached block that RemoveUnreachable deletes.
 		lw.cur = lw.f.NewBlock()
 	}
-	lw.cur.Instrs = append(lw.cur.Instrs, in)
+	b := lw.cur
+	n := len(b.Instrs)
+	if (n == 0 || b == lw.tail) && len(lw.arena) < cap(lw.arena) {
+		lw.arena = append(lw.arena, in)
+		end := len(lw.arena)
+		b.Instrs = lw.arena[end-n-1 : end : end]
+		lw.tail = b
+		return
+	}
+	// A block resumed after another took the tail, or the estimate ran out.
+	if b == lw.tail {
+		lw.tail = nil
+	}
+	b.Instrs = append(b.Instrs, in)
 }
 
 // terminate emits a terminator and switches to a new current block.

@@ -45,32 +45,41 @@ func LinkSection(objs []*asm.Object) (*CellImage, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("link: no entry object among %d objects", len(objs))
 	}
-	ordered := []*asm.Object{entry}
+	ordered := make([]*asm.Object, 0, len(objs))
+	ordered = append(ordered, entry)
+	words, nLabels, nData := 0, 0, 0
 	for _, o := range objs {
 		if o != entry {
 			ordered = append(ordered, o)
 		}
+		words += len(o.Code)
+		nLabels += len(o.Labels)
+		nData += len(o.Data)
 	}
 
-	img := &CellImage{Section: entry.Section, DataSyms: make(map[string]int)}
+	// Every count is known before the first word is placed, so the image and
+	// its tables are allocated once at their final size.
+	img := &CellImage{
+		Section:  entry.Section,
+		Code:     make([]machine.Word, 0, words),
+		DataSyms: make(map[string]int, nData),
+	}
 
 	// Pass 1: place code and build the global label and data tables.
-	labels := make(map[string]int)
-	base := make(map[*asm.Object]int)
+	labels := make(map[string]int, nLabels)
+	base := make([]int, len(ordered)) // base[k] is where ordered[k]'s code starts
 	dataAddr := 0
-	for _, o := range ordered {
-		base[o] = len(img.Code)
+	for k, o := range ordered {
+		base[k] = len(img.Code)
 		for l, off := range o.Labels {
 			if _, dup := labels[l]; dup {
 				return nil, fmt.Errorf("link: duplicate label %s", l)
 			}
-			labels[l] = base[o] + off
+			labels[l] = base[k] + off
 		}
 		img.Code = append(img.Code, o.Code...)
 		// Deterministic data layout: symbols in name order per object.
-		syms := append([]asm.DataSym(nil), o.Data...)
-		sort.Slice(syms, func(i, j int) bool { return syms[i].Name < syms[j].Name })
-		for _, d := range syms {
+		for _, d := range inNameOrder(o.Data) {
 			if _, dup := img.DataSyms[d.Name]; dup {
 				return nil, fmt.Errorf("link: duplicate data symbol %s", d.Name)
 			}
@@ -89,9 +98,9 @@ func LinkSection(objs []*asm.Object) (*CellImage, error) {
 	}
 
 	// Pass 2: apply relocations.
-	for _, o := range ordered {
+	for k, o := range ordered {
 		for _, r := range o.Relocs {
-			wi := base[o] + r.Word
+			wi := base[k] + r.Word
 			in := &img.Code[wi][r.Unit]
 			switch r.Kind {
 			case asm.RelocBranch:
@@ -112,6 +121,20 @@ func LinkSection(objs []*asm.Object) (*CellImage, error) {
 		}
 	}
 	return img, nil
+}
+
+// inNameOrder returns syms sorted by name. The list belongs to an object that
+// may be a shared cache entry, so it is never reordered in place: it is
+// returned as it is when already in order (the usual case) and copied
+// otherwise.
+func inNameOrder(syms []asm.DataSym) []asm.DataSym {
+	byName := func(i, j int) bool { return syms[i].Name < syms[j].Name }
+	if sort.SliceIsSorted(syms, byName) {
+		return syms
+	}
+	syms = append([]asm.DataSym(nil), syms...)
+	sort.Slice(syms, byName)
+	return syms
 }
 
 // Module is a linked download module: one cell image per section, in

@@ -57,6 +57,29 @@ func TestLinkSectionLayout(t *testing.T) {
 	}
 }
 
+// TestLinkSectionExactSizeSharedObjects pins the image's one exact
+// allocation, and that laying data out in name order never reorders an
+// object's own symbol list: objects are shared cache entries.
+func TestLinkSectionExactSizeSharedObjects(t *testing.T) {
+	entry := obj("cell", 1, true, 4, map[string]int{"cell.b0": 0}, nil,
+		[]asm.DataSym{{Name: "cell/z", Words: 2}, {Name: "cell/a", Words: 3}})
+	helper := obj("helper", 1, false, 3, map[string]int{"helper.b0": 0}, nil,
+		[]asm.DataSym{{Name: "helper/a", Words: 1}})
+	img, err := LinkSection([]*asm.Object{helper, entry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Code) != 7 || cap(img.Code) != len(img.Code) {
+		t.Errorf("Code has len %d, cap %d; want 7 and 7", len(img.Code), cap(img.Code))
+	}
+	if img.DataSyms["cell/a"] != 0 || img.DataSyms["cell/z"] != 3 || img.DataSyms["helper/a"] != 5 {
+		t.Errorf("data not laid out in name order per object: %v", img.DataSyms)
+	}
+	if entry.Data[0].Name != "cell/z" || entry.Data[1].Name != "cell/a" {
+		t.Errorf("linking reordered the entry object's own data list: %v", entry.Data)
+	}
+}
+
 func TestLinkErrors(t *testing.T) {
 	if _, err := LinkSection(nil); err == nil {
 		t.Error("empty link must fail")

@@ -3,30 +3,70 @@ package opt
 import "repro/internal/ir"
 
 // Liveness holds the result of global live-variable analysis: for each block
-// the virtual registers live on entry and on exit.
+// the virtual registers live on entry and on exit. A Liveness belongs to the
+// goroutine that computed it: LiveAt works in scratch it owns.
 type Liveness struct {
 	In  map[*ir.Block]BitSet
 	Out map[*ir.Block]BitSet
 	// NumVRegs is the analysis universe size (vreg ids are 1..NumVRegs).
 	NumVRegs int
+
+	// bits backs every set below and in In and Out, so that solving again
+	// (dead-code elimination does, after each round of removals) starts from
+	// one clear, not from fresh allocations. scratch is the working set of
+	// solve and LiveAt; rpo is the block order solve visits, which removing
+	// instructions does not change either.
+	bits     []uint64
+	use, def map[*ir.Block]BitSet
+	scratch  BitSet
+	rpo      []*ir.Block
 }
 
 // ComputeLiveness runs backward iterative dataflow over f.
 func ComputeLiveness(f *ir.Func) *Liveness {
-	n := f.NumVRegs() + 1
-	lv := &Liveness{
-		In:       make(map[*ir.Block]BitSet, len(f.Blocks)),
-		Out:      make(map[*ir.Block]BitSet, len(f.Blocks)),
-		NumVRegs: f.NumVRegs(),
-	}
-	use := make(map[*ir.Block]BitSet, len(f.Blocks))
-	def := make(map[*ir.Block]BitSet, len(f.Blocks))
+	lv := newLiveness(f)
+	lv.solve(f)
+	return lv
+}
 
+// newLiveness allocates the sets for f's blocks and registers, all empty.
+func newLiveness(f *ir.Func) *Liveness {
+	words := (f.NumVRegs() + 1 + 63) / 64 // as NewBitSet sizes a set
+	nb := len(f.Blocks)
+	lv := &Liveness{
+		In:       make(map[*ir.Block]BitSet, nb),
+		Out:      make(map[*ir.Block]BitSet, nb),
+		NumVRegs: f.NumVRegs(),
+		bits:     make([]uint64, (4*nb+1)*words),
+		use:      make(map[*ir.Block]BitSet, nb),
+		def:      make(map[*ir.Block]BitSet, nb),
+		rpo:      ir.ReversePostorder(f),
+	}
+	rest := lv.bits
+	take := func() BitSet {
+		s := rest[:words:words]
+		rest = rest[words:]
+		return BitSet(s)
+	}
 	for _, b := range f.Blocks {
-		u, d := NewBitSet(n), NewBitSet(n)
+		lv.use[b], lv.def[b] = take(), take()
+		lv.In[b], lv.Out[b] = take(), take()
+	}
+	lv.scratch = take()
+	return lv
+}
+
+// solve computes the solution for f as it now is. f must have the blocks,
+// edges and register count lv was allocated for; its instructions may have
+// changed.
+func (lv *Liveness) solve(f *ir.Func) {
+	clear(lv.bits)
+	var uses [8]ir.VReg
+	for _, b := range f.Blocks {
+		u, d := lv.use[b], lv.def[b]
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			for _, r := range in.Uses() {
+			for _, r := range in.AppendUses(uses[:0]) {
 				if !d.Has(int(r)) {
 					u.Set(int(r))
 				}
@@ -35,14 +75,12 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				d.Set(int(dst))
 			}
 		}
-		use[b], def[b] = u, d
-		lv.In[b] = NewBitSet(n)
-		lv.Out[b] = NewBitSet(n)
 	}
 
 	// Iterate to fixpoint, visiting blocks in reverse order for faster
 	// convergence of the backward problem.
-	rpo := ir.ReversePostorder(f)
+	rpo := lv.rpo
+	newIn := lv.scratch
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {
@@ -54,29 +92,30 @@ func ComputeLiveness(f *ir.Func) *Liveness {
 				}
 			}
 			// in = use ∪ (out − def)
-			newIn := out.Clone()
-			newIn.AndNotWith(def[b])
-			newIn.OrWith(use[b])
+			newIn.Copy(out)
+			newIn.AndNotWith(lv.def[b])
+			newIn.OrWith(lv.use[b])
 			if lv.In[b].OrWith(newIn) {
 				changed = true
 			}
 		}
 	}
-	return lv
 }
 
 // LiveAt walks a block backwards computing per-instruction live-out sets.
 // It calls visit for every instruction with the set of registers live
 // immediately after it. The callback must not retain the set.
 func (lv *Liveness) LiveAt(b *ir.Block, visit func(idx int, liveOut BitSet)) {
-	live := lv.Out[b].Clone()
+	live := lv.scratch
+	live.Copy(lv.Out[b])
+	var uses [8]ir.VReg
 	for i := len(b.Instrs) - 1; i >= 0; i-- {
 		visit(i, live)
 		in := &b.Instrs[i]
 		if dst := in.Def(); dst != ir.None {
 			live.Clear(int(dst))
 		}
-		for _, r := range in.Uses() {
+		for _, r := range in.AppendUses(uses[:0]) {
 			live.Set(int(r))
 		}
 	}

@@ -11,11 +11,19 @@ import (
 // returns the number of instructions removed.
 func EliminateDeadCode(f *ir.Func) int {
 	removed := 0
+	// Removing instructions changes neither the blocks nor the registers, so
+	// every round solves into the same sets and marks into the same flags.
+	lv := newLiveness(f)
+	var deadBuf []bool
 	for {
-		lv := ComputeLiveness(f)
+		lv.solve(f)
 		n := 0
 		for _, b := range f.Blocks {
-			dead := make([]bool, len(b.Instrs))
+			if len(b.Instrs) > cap(deadBuf) {
+				deadBuf = make([]bool, len(b.Instrs))
+			}
+			dead := deadBuf[:len(b.Instrs)]
+			clear(dead)
 			lv.LiveAt(b, func(idx int, liveOut BitSet) {
 				in := &b.Instrs[idx]
 				if in.Op.HasSideEffects() || in.Op.IsTerminator() {
@@ -141,9 +149,10 @@ type Stats struct {
 // a small pass budget, as the 1989 compiler would).
 func Optimize(f *ir.Func) Stats {
 	var st Stats
+	sc := newLocalScratch()
 	for pass := 0; pass < 4; pass++ {
 		st.Passes++
-		local := LocalOptimize(f)
+		local := localOptimize(f, sc)
 		st.Local.Add(local)
 		br := SimplifyBranches(f)
 		st.Branches += br

@@ -1,7 +1,7 @@
 package opt
 
 import (
-	"fmt"
+	"math"
 
 	"repro/internal/ir"
 	"repro/internal/types"
@@ -46,21 +46,46 @@ func (s *LocalStats) Add(other LocalStats) {
 // LocalOptimize runs local optimization on every block of f and returns the
 // combined statistics.
 func LocalOptimize(f *ir.Func) LocalStats {
+	return localOptimize(f, newLocalScratch())
+}
+
+func localOptimize(f *ir.Func, sc *localScratch) LocalStats {
 	var stats LocalStats
 	for _, b := range f.Blocks {
-		stats.Add(localBlock(f, b))
+		stats.Add(localBlock(b, sc))
 	}
 	return stats
 }
 
-func localBlock(f *ir.Func, b *ir.Block) LocalStats {
+// localScratch is the fact tables of one block's local optimization. Facts
+// never cross a block boundary, so localBlock clears the tables and reuses
+// them for the next block; the scratch belongs to the goroutine optimizing
+// the function.
+type localScratch struct {
+	ver    map[ir.VReg]int   // current version of each vreg
+	consts map[vver]constVal // known constant values
+	copies map[vver]vver     // copy source (canonical)
+	exprs  map[exprKeyT]vver // value-number table: expression -> holder
+}
+
+func newLocalScratch() *localScratch {
+	return &localScratch{
+		ver:    make(map[ir.VReg]int),
+		consts: make(map[vver]constVal),
+		copies: make(map[vver]vver),
+		exprs:  make(map[exprKeyT]vver),
+	}
+}
+
+func localBlock(b *ir.Block, sc *localScratch) LocalStats {
 	var stats LocalStats
 
-	ver := make(map[ir.VReg]int) // current version of each vreg
-	consts := make(map[vver]constVal)
-	copies := make(map[vver]vver)  // copy source (canonical)
-	exprs := make(map[string]vver) // value-number table: expr key -> holder
-	memEpoch := 0                  // bumped by stores; part of load keys
+	clear(sc.ver)
+	clear(sc.consts)
+	clear(sc.copies)
+	clear(sc.exprs)
+	ver, consts, copies, exprs := sc.ver, sc.consts, sc.copies, sc.exprs
+	memEpoch := 0 // bumped by stores; part of load keys
 
 	cur := func(r ir.VReg) vver { return vver{r, ver[r]} }
 
@@ -109,14 +134,15 @@ func localBlock(f *ir.Func, b *ir.Block) LocalStats {
 		// 3. CSE on pure instructions. A miss records the key after the
 		// destination's version bump below, so the table entry refers to the
 		// new value.
-		recordKey := ""
+		var recordKey exprKeyT
+		record := false
 		if isPure(in.Op) && in.Dst != ir.None {
 			key := exprKey(in, cur, memEpoch)
 			if holder, ok := exprs[key]; ok && cur(holder.r) == holder && holder.r != in.Dst {
 				*in = ir.Instr{Op: ir.Mov, Kind: in.Kind, Dst: in.Dst, A: holder.r}
 				stats.CSE++
 			} else {
-				recordKey = key
+				recordKey, record = key, true
 			}
 		}
 
@@ -143,7 +169,7 @@ func localBlock(f *ir.Func, b *ir.Block) LocalStats {
 					consts[dv] = cv
 				}
 			}
-			if recordKey != "" {
+			if record {
 				exprs[recordKey] = dv
 			}
 		}
@@ -164,7 +190,19 @@ func isPure(op ir.Op) bool {
 	return false
 }
 
-func exprKey(in *ir.Instr, cur func(ir.VReg) vver, memEpoch int) string {
+// exprKeyT identifies a pure expression's value within a block: two
+// instructions with equal keys compute the same value.
+type exprKeyT struct {
+	op     ir.Op
+	kind   types.Kind
+	a, b   vver
+	constI int64
+	constF uint64 // bit pattern, so that -0 and +0 stay distinct constants
+	sym    string
+	mem    int // memory epoch, for loads
+}
+
+func exprKey(in *ir.Instr, cur func(ir.VReg) vver, memEpoch int) exprKeyT {
 	a, b := vver{}, vver{}
 	if in.A != ir.None {
 		a = cur(in.A)
@@ -178,9 +216,13 @@ func exprKey(in *ir.Instr, cur func(ir.VReg) vver, memEpoch int) string {
 			a, b = b, a
 		}
 	}
-	key := fmt.Sprintf("%d|%d|%d.%d|%d.%d|%d|%g|%s", in.Op, in.Kind, a.r, a.v, b.r, b.v, in.ConstI, in.ConstF, in.Sym)
+	f := in.ConstF
+	if f != f {
+		f = math.NaN() // one key for every NaN, whatever its payload
+	}
+	key := exprKeyT{op: in.Op, kind: in.Kind, a: a, b: b, constI: in.ConstI, constF: math.Float64bits(f), sym: in.Sym}
 	if in.Op == ir.Load {
-		key += fmt.Sprintf("|m%d", memEpoch)
+		key.mem = memEpoch
 	}
 	return key
 }
@@ -379,8 +421,9 @@ func tryFold(in *ir.Instr, consts map[vver]constVal, cur func(ir.VReg) vver) boo
 }
 
 func sqrtConst(x float64) float64 {
-	// Newton iteration; avoids importing math in the hot fold path for no
-	// reason other than symmetry — precision matches math.Sqrt for our use.
+	// Newton iteration, not math.Sqrt: folded constants, and so compiled
+	// output, must stay bit-identical to what this iteration has always
+	// produced.
 	if x == 0 {
 		return 0
 	}

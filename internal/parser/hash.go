@@ -2,8 +2,6 @@ package parser
 
 import (
 	"crypto/sha256"
-	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/ast"
@@ -38,57 +36,108 @@ const funcHashVersion = "w2-funchash-v1\x00"
 // function's incremental hash must cover its callees. When several earlier
 // functions share a name, the latest declaration wins, matching the name
 // resolution used by lowering.
+//
+// It indexes the i earlier names for this one answer; HashFuncs returns every
+// function's calls from an index built once per section.
 func DirectCalls(sec *ast.Section, i int) []int {
-	byName := make(map[string]int, i)
+	ix := newCallIndex(i)
 	for j := 0; j < i; j++ {
-		byName[sec.Funcs[j].Name] = j
+		ix.declare(sec.Funcs[j].Name, j)
 	}
-	seen := make(map[int]bool)
-	ast.Inspect(sec.Funcs[i].Body, func(n ast.Node) bool {
+	return ix.calls(sec.Funcs[i])
+}
+
+// sectionCalls returns DirectCalls(sec, i) for every i from one pass over
+// the section and one name index: function i's calls are resolved before its
+// own name is entered, so the index holds exactly the earlier functions, and
+// a later declaration of a name overwrites an earlier one (latest wins).
+func sectionCalls(sec *ast.Section) [][]int {
+	ix := newCallIndex(len(sec.Funcs))
+	out := make([][]int, len(sec.Funcs))
+	for i, fn := range sec.Funcs {
+		out[i] = ix.calls(fn)
+		ix.declare(fn.Name, i)
+	}
+	return out
+}
+
+// callIndex resolves call names to the functions declared so far. It is
+// scratch for one walk over one section, owned by the goroutine walking it.
+type callIndex struct {
+	byName map[string]int
+	// seen[j] == stamp marks j as already collected for the function being
+	// scanned; bumping stamp clears every mark at once.
+	seen  []int
+	stamp int
+	found []int
+}
+
+func newCallIndex(n int) *callIndex {
+	return &callIndex{byName: make(map[string]int, n), seen: make([]int, n)}
+}
+
+func (ix *callIndex) declare(name string, i int) { ix.byName[name] = i }
+
+// calls returns the ascending indices of the declared functions fn calls.
+func (ix *callIndex) calls(fn *ast.FuncDecl) []int {
+	ix.stamp++
+	ix.found = ix.found[:0]
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if call, ok := n.(*ast.CallExpr); ok {
-			if j, ok := byName[call.Fun.Name]; ok {
-				seen[j] = true
+			if j, ok := ix.byName[call.Fun.Name]; ok && ix.seen[j] != ix.stamp {
+				ix.seen[j] = ix.stamp
+				ix.found = append(ix.found, j)
 			}
 		}
 		return true
 	})
-	deps := make([]int, 0, len(seen))
-	for j := range seen {
-		deps = append(deps, j)
+	return sortedCopy(ix.found)
+}
+
+// sortedCopy returns xs sorted ascending in a slice of its exact size (nil
+// when empty), leaving the scratch xs free for reuse.
+func sortedCopy(xs []int) []int {
+	if len(xs) == 0 {
+		return nil
 	}
-	sort.Ints(deps)
-	return deps
+	out := append(make([]int, 0, len(xs)), xs...)
+	sort.Ints(out)
+	return out
 }
 
 // transitiveCalls returns, for every function of sec, the ascending indices
 // of all earlier functions it transitively depends on (direct callees plus
-// their callees, and so on). Dependencies always point at strictly smaller
-// indices, so one forward pass suffices.
-func transitiveCalls(sec *ast.Section) [][]int {
-	closure := make([][]int, len(sec.Funcs))
-	for i := range sec.Funcs {
-		set := make(map[int]bool)
-		for _, j := range DirectCalls(sec, i) {
-			set[j] = true
-			for _, k := range closure[j] {
-				set[k] = true
+// their callees, and so on), given the section's direct calls. Dependencies
+// always point at strictly smaller indices, so one forward pass suffices.
+func transitiveCalls(direct [][]int) [][]int {
+	closure := make([][]int, len(direct))
+	seen := make([]int, len(direct)) // seen[j] == i+1: j already in closure[i]
+	var found []int
+	for i := range direct {
+		found = found[:0]
+		add := func(j int) {
+			if seen[j] != i+1 {
+				seen[j] = i + 1
+				found = append(found, j)
 			}
 		}
-		deps := make([]int, 0, len(set))
-		for j := range set {
-			deps = append(deps, j)
+		for _, j := range direct[i] {
+			add(j)
+			for _, k := range closure[j] {
+				add(k)
+			}
 		}
-		sort.Ints(deps)
-		closure[i] = deps
+		closure[i] = sortedCopy(found)
 	}
 	return closure
 }
 
-// hashNorm writes the whitespace-normalized form of span into w followed by
-// a separator: each line with leading/trailing spaces, tabs, and carriage
+// appendNorm appends the whitespace-normalized form of span to dst followed
+// by a separator: each line with leading/trailing spaces, tabs, and carriage
 // returns stripped, blank lines dropped, '\n' after every kept line. Edits
 // to indentation or blank lines therefore leave every FuncHash unchanged.
-func hashNorm(w io.Writer, span []byte) {
+// It appends at most len(span)+2 bytes.
+func appendNorm(dst, span []byte) []byte {
 	start := 0
 	flush := func(end int) {
 		lo, hi := start, end
@@ -99,8 +148,8 @@ func hashNorm(w io.Writer, span []byte) {
 			hi--
 		}
 		if lo < hi {
-			w.Write(span[lo:hi])
-			w.Write([]byte{'\n'})
+			dst = append(dst, span[lo:hi]...)
+			dst = append(dst, '\n')
 		}
 	}
 	for i, b := range span {
@@ -110,7 +159,7 @@ func hashNorm(w io.Writer, span []byte) {
 		}
 	}
 	flush(len(span))
-	w.Write([]byte{0})
+	return append(dst, 0)
 }
 
 // span extracts src[start:end], reporting whether the bounds are valid.
@@ -133,51 +182,76 @@ func funcSpan(src []byte, fn *ast.FuncDecl) ([]byte, bool) {
 	return span(src, fn.FuncPos.Offset, fn.Body.RbracePos.Offset+1)
 }
 
-// sectionHashes computes the FuncHash of every function in sec. moduleHeader
-// is the normalized-as-is module prelude (module declaration and stream
-// parameters) that every function's compilation can observe through the
-// checker. A function's hash covers, in order: the version tag, the module
-// header, the section header (section keyword through its opening brace —
-// the section index and count live here), the spans of its transitive
-// callees in ascending index order, its own span, and its entry-function
-// flag (the last function of a section compiles differently: it becomes the
-// cell program). Any span that cannot be extracted zeroes the hash for the
-// affected functions, making them uncacheable rather than wrongly shared.
-func sectionHashes(src []byte, moduleHeader []byte, sec *ast.Section) []FuncHash {
-	hashes := make([]FuncHash, len(sec.Funcs))
+// sectionHashes computes the FuncHash of every function in sec, and returns
+// the section's direct calls alongside. moduleHeader is the module prelude
+// (module declaration and stream parameters) that every function's
+// compilation can observe through the checker. A function's hash covers, in
+// order: the version tag, the module header, the section header (section
+// keyword through its opening brace — the section index and count live
+// here), the spans of its transitive callees in ascending index order, its
+// own span, and its entry-function flag (the last function of a section
+// compiles differently: it becomes the cell program); every span enters in
+// its normalized form (appendNorm). Any span that cannot be extracted zeroes
+// the hash for the affected functions, making them uncacheable rather than
+// wrongly shared.
+func sectionHashes(src []byte, moduleHeader []byte, sec *ast.Section) ([]FuncHash, [][]int) {
+	n := len(sec.Funcs)
+	hashes := make([]FuncHash, n)
+	direct := sectionCalls(sec)
 	header, headerOK := span(src, sec.SectionPos.Offset, sec.LbracePos.Offset+1)
-	spans := make([][]byte, len(sec.Funcs))
-	spanOK := make([]bool, len(sec.Funcs))
-	for i, fn := range sec.Funcs {
-		spans[i], spanOK[i] = funcSpan(src, fn)
+	if !headerOK {
+		return hashes, direct
 	}
-	closure := transitiveCalls(sec)
-	for i := range sec.Funcs {
-		if !headerOK || !spanOK[i] {
-			continue
+
+	// A span is hashed once for its own function and once more for every
+	// caller above it, so each is normalized once, into one array sized for
+	// all of them; norm[i] == nil marks a span that could not be extracted.
+	spans := make([][]byte, n)
+	spanOK := make([]bool, n)
+	size := 0
+	for i, fn := range sec.Funcs {
+		if spans[i], spanOK[i] = funcSpan(src, fn); spanOK[i] {
+			size += len(spans[i]) + 2
 		}
-		ok := true
+	}
+	norm := make([][]byte, n)
+	slab := make([]byte, 0, size)
+	for i, sp := range spans {
+		if spanOK[i] {
+			at := len(slab)
+			slab = appendNorm(slab, sp)
+			norm[i] = slab[at:len(slab):len(slab)]
+		}
+	}
+	prefix := append([]byte(nil), funcHashVersion...)
+	prefix = appendNorm(prefix, moduleHeader)
+	prefix = appendNorm(prefix, header)
+
+	closure := transitiveCalls(direct)
+	hh := sha256.New()
+	entryFlag := [2][]byte{[]byte("entry=false"), []byte("entry=true")}
+	for i := range sec.Funcs {
+		ok := norm[i] != nil
 		for _, j := range closure[i] {
-			if !spanOK[j] {
-				ok = false
-				break
-			}
+			ok = ok && norm[j] != nil
 		}
 		if !ok {
 			continue
 		}
-		hh := sha256.New()
-		hh.Write([]byte(funcHashVersion))
-		hashNorm(hh, moduleHeader)
-		hashNorm(hh, header)
+		hh.Reset()
+		hh.Write(prefix)
 		for _, j := range closure[i] {
-			hashNorm(hh, spans[j])
+			hh.Write(norm[j])
 		}
-		hashNorm(hh, spans[i])
-		fmt.Fprintf(hh, "entry=%t", i == len(sec.Funcs)-1)
-		copy(hashes[i][:], hh.Sum(nil))
+		hh.Write(norm[i])
+		flag := entryFlag[0]
+		if i == n-1 {
+			flag = entryFlag[1]
+		}
+		hh.Write(flag)
+		hh.Sum(hashes[i][:0])
 	}
-	return hashes
+	return hashes, direct
 }
 
 // moduleHeaderSpan returns the module prelude: everything before the first
@@ -194,16 +268,28 @@ func moduleHeaderSpan(src []byte, m *ast.Module) ([]byte, bool) {
 // byte spans cannot be recovered (hand-built ASTs without positions) get the
 // zero hash, which every cache tier treats as uncacheable.
 func FuncHashes(m *ast.Module, src []byte) map[FuncKey]FuncHash {
-	out := make(map[FuncKey]FuncHash, m.NumFunctions())
+	hashes, _ := HashFuncs(m, src)
+	return hashes
+}
+
+// HashFuncs is FuncHashes that also returns what it learned on the way: the
+// direct calls (see DirectCalls) of every function, from the one name index
+// per section that the hashes' callee closure was built on.
+func HashFuncs(m *ast.Module, src []byte) (map[FuncKey]FuncHash, map[FuncKey][]int) {
+	n := m.NumFunctions()
+	hashes := make(map[FuncKey]FuncHash, n)
+	calls := make(map[FuncKey][]int, n)
 	header, ok := moduleHeaderSpan(src, m)
 	if !ok {
 		header = nil
 	}
 	for _, sec := range m.Sections {
-		hashes := sectionHashes(src, header, sec)
+		hs, direct := sectionHashes(src, header, sec)
 		for i := range sec.Funcs {
-			out[FuncKey{Section: sec.Index, Index: i}] = hashes[i]
+			k := FuncKey{Section: sec.Index, Index: i}
+			hashes[k] = hs[i]
+			calls[k] = direct[i]
 		}
 	}
-	return out
+	return hashes, calls
 }

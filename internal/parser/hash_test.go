@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,6 +137,48 @@ func TestParseOutlineFillsSpansAndHashes(t *testing.T) {
 		}
 		if src[fo.BodyStart] != '{' {
 			t.Errorf("%s: BodyStart %d is not the body brace", fo.Name, fo.BodyStart)
+		}
+	}
+}
+
+// TestDirectCallsLatestDeclarationWins: a call to a name declared more than
+// once resolves to the latest declaration before the caller — never to a
+// later one, never to the caller itself — and sectionCalls, which enters each
+// name into one shared index only after its function has been scanned, gives
+// the same answers as DirectCalls does from an index built per function.
+func TestDirectCallsLatestDeclarationWins(t *testing.T) {
+	const src = `
+module m (out y: float[2])
+
+section 1 of 1 {
+    function helper(): float {
+        return 1.0;
+    }
+    function other(): float {
+        return helper();
+    }
+    function helper(): float {
+        return helper() + 1.0;
+    }
+    function entry() {
+        send(Y, helper() + other() + helper());
+    }
+}
+`
+	var bag source.DiagBag
+	m := Parse("shadow.w2", []byte(src), &bag)
+	if m == nil || bag.HasErrors() {
+		t.Fatalf("parse: %s", bag.String())
+	}
+	sec := m.Sections[0]
+	want := [][]int{nil, {0}, {0}, {1, 2}}
+	all := sectionCalls(sec)
+	for i := range sec.Funcs {
+		if got := DirectCalls(sec, i); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("DirectCalls(%d) = %v, want %v", i, got, want[i])
+		}
+		if !reflect.DeepEqual(all[i], want[i]) {
+			t.Errorf("sectionCalls()[%d] = %v, want %v", i, all[i], want[i])
 		}
 	}
 }
