@@ -386,8 +386,8 @@ func printParallelStats(s *core.ParallelStats) {
 		p.FrontendOverlap.Round(1000), p.LinkTime.Round(1000), p.LinkOverlap.Round(1000),
 		p.DriverTime.Round(1000), p.CriticalPath.Round(1000))
 	if p.FrontendWorkers > 0 {
-		fmt.Printf("pipeline: frontend-parse-wall %v, frontend-check-wall %v, frontend-workers %d\n",
-			p.FrontendParseWall.Round(1000), p.FrontendCheckWall.Round(1000), p.FrontendWorkers)
+		fmt.Printf("pipeline: frontend-check-wall %v, frontend-workers %d\n",
+			p.FrontendCheckWall.Round(1000), p.FrontendWorkers)
 	}
 	d := s.Dispatch
 	rankCorr := "" // meaningless below 3 samples (NaN): omitted entirely

@@ -259,14 +259,44 @@ func CountLines(m *Module) int {
 	return strings.Count(Format(m), "\n")
 }
 
-// FuncLines returns the formatted line count of a single function.
+// FuncLines returns the formatted line count of a single function: the
+// lines Format prints for it. It counts what the printer emits instead of
+// printing, so it allocates nothing.
 func FuncLines(f *FuncDecl) int {
-	tmp := &Module{
-		Name:     "tmp",
-		Sections: []*Section{{Index: 1, Funcs: []*FuncDecl{f}}},
+	return 2 + stmtsLines(f.Body.Stmts) // header and closing brace
+}
+
+func stmtsLines(stmts []Stmt) int {
+	n := 0
+	for _, s := range stmts {
+		n += stmtLines(s)
 	}
-	// Subtract the module line, blank line, section open/close lines.
-	return CountLines(tmp) - 4
+	return n
+}
+
+// stmtLines mirrors printer.stmt: a statement prints one line, and one with
+// a body adds the body's lines and a closing-brace line.
+func stmtLines(s Stmt) int {
+	switch s := s.(type) {
+	case *Block:
+		return 2 + stmtsLines(s.Stmts)
+	case *If:
+		n := 1 + stmtsLines(s.Then.Stmts)
+		switch e := s.Else.(type) {
+		case nil:
+			return n + 1
+		case *Block:
+			return n + 2 + stmtsLines(e.Stmts) // "} else {" and "}"
+		case *If:
+			return n + 2 + stmtLines(e)
+		}
+		return n
+	case *While:
+		return 2 + stmtsLines(s.Body.Stmts)
+	case *For:
+		return 2 + stmtsLines(s.Body.Stmts)
+	}
+	return 1
 }
 
 // posOf is a compile-time assertion helper keeping source import used even

@@ -13,6 +13,8 @@ package compiler
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/asm"
@@ -89,7 +91,7 @@ func Frontend(file string, src []byte) (*ast.Module, *sem.Info, *source.DiagBag)
 // frontend succeeded — a module with errors never reaches phases 2+3).
 func buildFrontendEntry(file string, src []byte) (*fcache.FrontendEntry, int64) {
 	m, info, bag := Frontend(file, src)
-	return packageFrontendEntry(m, info, bag, src)
+	return packageFrontendEntry(m, info, bag, src, nil)
 }
 
 // FrontendEntryCached returns the cached phase-1 artifacts of src — checked
@@ -297,19 +299,28 @@ func OptsKey(opts Options) string {
 	return fmt.Sprintf("%+v", opts)
 }
 
-// warningOwner returns the function whose declaration contains pos: the
-// function with the greatest starting offset not after pos. It returns nil
-// for module-level positions before the first function.
-func warningOwner(m *ast.Module, pos source.Pos) *ast.FuncDecl {
-	var owner *ast.FuncDecl
+// funcsByOffset lists every function of m by ascending starting offset,
+// declaration order among equal offsets: the index warningOwner searches.
+func funcsByOffset(m *ast.Module) []*ast.FuncDecl {
+	fns := make([]*ast.FuncDecl, 0, m.NumFunctions())
 	for _, sec := range m.Sections {
-		for _, f := range sec.Funcs {
-			if f.Pos().Offset <= pos.Offset && (owner == nil || f.Pos().Offset > owner.Pos().Offset) {
-				owner = f
-			}
-		}
+		fns = append(fns, sec.Funcs...)
 	}
-	return owner
+	slices.SortStableFunc(fns, func(a, b *ast.FuncDecl) int { return a.Pos().Offset - b.Pos().Offset })
+	return fns
+}
+
+// warningOwner returns the function whose declaration contains pos: the
+// function with the greatest starting offset not after pos, the first
+// declared of several at that offset. It returns nil for module-level
+// positions before the first function. fns is funcsByOffset of the module.
+func warningOwner(fns []*ast.FuncDecl, pos source.Pos) *ast.FuncDecl {
+	i := sort.Search(len(fns), func(i int) bool { return fns[i].Pos().Offset > pos.Offset })
+	if i == 0 {
+		return nil
+	}
+	at := fns[i-1].Pos().Offset
+	return fns[sort.Search(i, func(j int) bool { return fns[j].Pos().Offset >= at })]
 }
 
 // FrontendWarnings renders bag's warning diagnostics owned by fn — or, with
@@ -318,11 +329,15 @@ func warningOwner(m *ast.Module, pos source.Pos) *ast.FuncDecl {
 // even though every function master sees the whole module's diagnostics.
 func FrontendWarnings(m *ast.Module, bag *source.DiagBag, fn *ast.FuncDecl) []string {
 	var out []string
+	var fns []*ast.FuncDecl
 	for _, d := range bag.All() {
 		if d.Severity != source.Warn {
 			continue
 		}
-		if warningOwner(m, d.Pos) == fn {
+		if fns == nil {
+			fns = funcsByOffset(m)
+		}
+		if warningOwner(fns, d.Pos) == fn {
 			out = append(out, d.String())
 		}
 	}

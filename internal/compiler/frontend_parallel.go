@@ -1,9 +1,8 @@
-// Parallel frontend driver: phase 1 with span-sliced parsing
-// (parser.ParseModuleParallel) and concurrent body checking
-// (sem.CheckParallel). The sequential Frontend stays the oracle — both
-// produce word-identical trees, semantic info, and diagnostics — and the
-// fallback for anything the parallel path cannot slice (sources with syntax
-// errors have no outline and take one sequential parse).
+// Parallel frontend driver: phase 1 with concurrent body checking
+// (sem.CheckParallel) over the tree the master's structural parse already
+// built (parser.Outline.Tree), so a build parses its source once. The
+// sequential Frontend stays the oracle — both produce word-identical trees,
+// semantic info, and diagnostics.
 package compiler
 
 import (
@@ -20,14 +19,16 @@ import (
 
 // FrontendOptions selects the frontend implementation for one compilation.
 type FrontendOptions struct {
-	// Parallel selects the span-sliced parallel frontend; false keeps the
-	// sequential path (byte-identical output either way).
+	// Parallel selects the parallel frontend; false keeps the sequential
+	// path (byte-identical output either way).
 	Parallel bool
 	// Workers bounds the frontend's fan-out; <1 means GOMAXPROCS.
 	Workers int
-	// Outline, when the caller already parsed one (the master's setup parse),
-	// lets the parallel parse start slicing immediately. Nil makes
-	// FrontendParallel derive it from src.
+	// Outline, when the caller already ran parser.ParseOutline(file, src)
+	// (the master's setup parse), supplies the tree to check and the
+	// per-function hashes and calls of the cache entry. The frontend takes
+	// over Outline.Tree: checking annotates and rewrites it. Nil, or an
+	// outline without a tree, makes FrontendParallel parse src itself.
 	Outline *parser.Outline
 	// Timing, when non-nil, receives the internal wall times of the parallel
 	// path. Untouched on the sequential path and on cache hits.
@@ -36,14 +37,14 @@ type FrontendOptions struct {
 
 // FrontendTiming reports where the parallel frontend's wall time went.
 type FrontendTiming struct {
-	ParseWall time.Duration // span-sliced parse, including the skeleton pass
 	CheckWall time.Duration // concurrent semantic checking
 	Workers   int           // resolved worker bound
 }
 
-// FrontendParallel runs phase 1 with function-grain parallelism: bodies are
-// parsed from their outline spans and checked concurrently on at most
-// fopts.Workers goroutines. Tree, semantic info, and diagnostics are
+// FrontendParallel runs phase 1 with function-grain parallelism: function
+// bodies are checked concurrently on at most fopts.Workers goroutines,
+// against the outline's tree when fopts.Outline has one and against one
+// parse of src otherwise. Tree, semantic info, and diagnostics are
 // word-identical to Frontend's. The error is non-nil only when ctx was
 // cancelled; every goroutine has exited by return.
 func FrontendParallel(ctx context.Context, file string, src []byte, fopts FrontendOptions) (*ast.Module, *sem.Info, *source.DiagBag, error) {
@@ -51,61 +52,60 @@ func FrontendParallel(ctx context.Context, file string, src []byte, fopts Fronte
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	outline := fopts.Outline
-	if outline == nil {
-		// No outline given: derive one. A source with syntax errors has no
-		// outline; ParseModuleParallel then falls back to one sequential
-		// parse whose diagnostics are the sequential frontend's exactly.
-		outline = parser.ParseOutline(file, src, &source.DiagBag{})
-	}
-
-	bag := &source.DiagBag{}
-	t0 := time.Now()
-	m, err := parser.ParseModuleParallel(ctx, file, src, outline, workers, bag)
-	parseWall := time.Since(t0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	if fopts.Timing != nil {
-		*fopts.Timing = FrontendTiming{ParseWall: parseWall, Workers: workers}
+		*fopts.Timing = FrontendTiming{Workers: workers}
 	}
-	if bag.HasErrors() {
-		return m, nil, bag, nil
+	bag := &source.DiagBag{}
+	var m *ast.Module
+	if o := fopts.Outline; o != nil && o.Tree != nil {
+		// ParseOutline keeps a tree only for a source that parsed without a
+		// diagnostic (the parser emits no warnings), so the bag stays what a
+		// parse would have left it: empty.
+		m = o.Tree
+	} else {
+		m = parser.Parse(file, src, bag)
+		if bag.HasErrors() {
+			return m, nil, bag, nil
+		}
 	}
 
-	t1 := time.Now()
+	t := time.Now()
 	info, err := sem.CheckParallel(ctx, m, bag, workers)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if fopts.Timing != nil {
-		fopts.Timing.CheckWall = time.Since(t1)
+		fopts.Timing.CheckWall = time.Since(t)
 	}
 	return m, info, bag, nil
 }
 
-// FrontendWith runs phase 1 with the implementation fopts selects: the
-// sequential Frontend, or FrontendParallel. Output is identical either way.
-func FrontendWith(ctx context.Context, file string, src []byte, fopts FrontendOptions) (*ast.Module, *sem.Info, *source.DiagBag, error) {
-	if !fopts.Parallel {
-		m, info, bag := Frontend(file, src)
-		return m, info, bag, nil
-	}
-	return FrontendParallel(ctx, file, src, fopts)
-}
-
 // packageFrontendEntry wraps checked frontend artifacts as a cache entry,
-// computing per-function incremental hashes when the frontend succeeded.
-func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, src []byte) (*fcache.FrontendEntry, int64) {
+// with every function's incremental hash and direct calls when the frontend
+// succeeded. When m is the tree of outline o, the outline already computed
+// them from the same bytes, and they are taken from it instead of hashing
+// the module again.
+func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, src []byte, o *parser.Outline) (*fcache.FrontendEntry, int64) {
 	e := &fcache.FrontendEntry{Module: m, Info: info, Bag: bag}
 	if m != nil && !bag.HasErrors() {
-		hs, calls := parser.HashFuncs(m, src)
-		e.FuncHashes = make(map[fcache.FuncKey]fcache.FuncHash, len(hs))
-		e.Calls = make(map[fcache.FuncKey][]int, len(calls))
-		for k, v := range hs {
-			fk := fcache.FuncKey{Section: k.Section, Index: k.Index}
-			e.FuncHashes[fk] = fcache.FuncHash(v)
-			e.Calls[fk] = calls[k]
+		n := m.NumFunctions()
+		e.FuncHashes = make(map[fcache.FuncKey]fcache.FuncHash, n)
+		e.Calls = make(map[fcache.FuncKey][]int, n)
+		if o != nil && o.Tree == m {
+			for _, so := range o.Sections {
+				for _, fo := range so.Functions {
+					fk := fcache.FuncKey{Section: fo.Section, Index: fo.Index}
+					e.FuncHashes[fk] = fcache.FuncHash(fo.Hash)
+					e.Calls[fk] = fo.Calls
+				}
+			}
+		} else {
+			hs, calls := parser.HashFuncs(m, src)
+			for k, v := range hs {
+				fk := fcache.FuncKey{Section: k.Section, Index: k.Index}
+				e.FuncHashes[fk] = fcache.FuncHash(v)
+				e.Calls[fk] = calls[k]
+			}
 		}
 	}
 	// The checked AST is a few times larger than its source text; the
@@ -114,9 +114,9 @@ func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, sr
 }
 
 // FrontendEntryCachedWith is FrontendEntryCached with a selectable frontend
-// implementation: on a cache miss the entry is built by FrontendWith, so a
-// parallel frontend fills the same tier the sequential one reads (the
-// artifacts are word-identical). Cancellation of a parallel build propagates
+// implementation: on a cache miss with fopts.Parallel the entry is built by
+// FrontendParallel, so a parallel frontend fills the same tier the
+// sequential one reads (the artifacts are word-identical). Cancellation of a parallel build propagates
 // as an error to every waiter and caches nothing.
 func FrontendEntryCachedWith(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, fopts FrontendOptions) (*fcache.FrontendEntry, error) {
 	if !fopts.Parallel {
@@ -127,7 +127,7 @@ func FrontendEntryCachedWith(ctx context.Context, cache *fcache.Cache, h fcache.
 		if err != nil {
 			return nil, 0, err
 		}
-		e, cost := packageFrontendEntry(m, info, bag, src)
+		e, cost := packageFrontendEntry(m, info, bag, src, fopts.Outline)
 		return e, cost, nil
 	}
 	if cache == nil {

@@ -66,9 +66,9 @@ type ParallelOptions struct {
 	// DefaultBatchThreshold, negative disables batching (one request per
 	// function). Ignored under SchedFCFS, which never batches.
 	BatchThreshold float64
-	// FrontendWorkers bounds the fan-out of the master's span-sliced
-	// parallel frontend (compiler.FrontendParallel); <1 means GOMAXPROCS,
-	// 1 is the serial setting.
+	// FrontendWorkers bounds the fan-out of the master's parallel frontend
+	// (compiler.FrontendParallel); <1 means GOMAXPROCS, 1 is the serial
+	// setting.
 	FrontendWorkers int
 
 	// fleet, when non-nil, is a daemon-lifetime shared stealing fleet this
@@ -140,6 +140,21 @@ type frontendVerdict struct {
 	err    error
 	time   time.Duration
 	timing compiler.FrontendTiming
+}
+
+// masterFrontend is the master's own phase-1 leg: the frontend-tier entry
+// of src, built on a miss by the parallel frontend from the setup parse's
+// outline — its tree is checked rather than parsed again, and its hashes
+// and calls become the entry's.
+func masterFrontend(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, outline *parser.Outline, workers int) (*fcache.FrontendEntry, compiler.FrontendTiming, error) {
+	var timing compiler.FrontendTiming
+	fe, err := compiler.FrontendEntryCachedWith(ctx, cache, h, file, src, compiler.FrontendOptions{
+		Parallel: true,
+		Workers:  workers,
+		Outline:  outline,
+		Timing:   &timing,
+	})
+	return fe, timing, err
 }
 
 // sectionDone is one section master's outcome, streamed to the combine loop
@@ -267,13 +282,7 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	feCh := make(chan frontendVerdict, 1)
 	go func() {
 		t := time.Now()
-		var timing compiler.FrontendTiming
-		fe, err := compiler.FrontendEntryCachedWith(callerCtx, masterCache, srcHash, file, src, compiler.FrontendOptions{
-			Parallel: true,
-			Workers:  popts.FrontendWorkers,
-			Outline:  outline, // the setup parse already paid for the spans
-			Timing:   &timing,
-		})
+		fe, timing, err := masterFrontend(callerCtx, masterCache, srcHash, file, src, outline, popts.FrontendWorkers)
 		if err != nil {
 			feCh <- frontendVerdict{err: err, time: time.Since(t)}
 			return
@@ -313,7 +322,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		case fe := <-feCh:
 			feDone = true
 			stats.FrontendTime = fe.time
-			stats.Pipeline.FrontendParseWall = fe.timing.ParseWall
 			stats.Pipeline.FrontendCheckWall = fe.timing.CheckWall
 			stats.Pipeline.FrontendWorkers = fe.timing.Workers
 			if fe.err != nil {

@@ -105,11 +105,10 @@ func idleDelta(now, base []time.Duration) []time.Duration {
 // fields are filled whenever the parallel frontend actually ran (not on a
 // frontend cache hit).
 type PipelineStats struct {
-	// FrontendParseWall and FrontendCheckWall split the master's frontend leg
-	// into its span-sliced parse and concurrent check; FrontendWorkers is the
-	// fan-out bound the parallel frontend resolved. All zero when the
-	// frontend tier answered from cache.
-	FrontendParseWall time.Duration
+	// FrontendCheckWall is the master's frontend leg's concurrent check of
+	// the setup parse's tree; FrontendWorkers is the fan-out bound the
+	// parallel frontend resolved. Both zero when the frontend tier answered
+	// from cache.
 	FrontendCheckWall time.Duration
 	FrontendWorkers   int
 	// FrontendOverlap is how much of the master's frontend ran concurrently

@@ -279,17 +279,26 @@ func HashFuncs(m *ast.Module, src []byte) (map[FuncKey]FuncHash, map[FuncKey][]i
 	n := m.NumFunctions()
 	hashes := make(map[FuncKey]FuncHash, n)
 	calls := make(map[FuncKey][]int, n)
+	hashSections(m, src, func(si, i int, h FuncHash, direct []int) {
+		k := FuncKey{Section: m.Sections[si].Index, Index: i}
+		hashes[k] = h
+		calls[k] = direct
+	})
+	return hashes, calls
+}
+
+// hashSections computes what HashFuncs returns and hands it to f function
+// by function: si is the section's position in m.Sections, i the function's
+// index within it.
+func hashSections(m *ast.Module, src []byte, f func(si, i int, h FuncHash, direct []int)) {
 	header, ok := moduleHeaderSpan(src, m)
 	if !ok {
 		header = nil
 	}
-	for _, sec := range m.Sections {
+	for si, sec := range m.Sections {
 		hs, direct := sectionHashes(src, header, sec)
 		for i := range sec.Funcs {
-			k := FuncKey{Section: sec.Index, Index: i}
-			hashes[k] = hs[i]
-			calls[k] = direct[i]
+			f(si, i, hs[i], direct[i])
 		}
 	}
-	return hashes, calls
 }

@@ -14,6 +14,12 @@ import (
 type Outline struct {
 	Module   string
 	Sections []SectionOutline
+	// Tree is the module ParseOutline parsed, unchecked, so that the
+	// master's frontend checks it instead of parsing the source again. The
+	// frontend that checks it owns it from then on (checking annotates and
+	// rewrites the tree). Nil from OutlineOf and OutlineWithHashes, whose
+	// caller already holds the module.
+	Tree *ast.Module
 }
 
 // SectionOutline summarizes one section program.
@@ -39,19 +45,13 @@ type FuncOutline struct {
 	SpanStart int
 	SpanEnd   int
 	BodyStart int
-	// StartLine/StartCol are the source position of the function keyword and
-	// EndLine/EndCol the position of the body's closing brace. They let a
-	// scanner be seeded mid-buffer (source.NewScannerAt) so a function body
-	// re-parsed from its span alone reports positions identical to a full
-	// sequential parse. Zero when the outline was computed without source.
-	StartLine int
-	StartCol  int
-	EndLine   int
-	EndCol    int
 	// Hash is the function's incremental content address (zero without
 	// source). Masters probe the object tier with it before scheduling, and
 	// dispatch requests carry it so workers can answer from cache.
 	Hash FuncHash
+	// Calls are the function's direct calls (see DirectCalls), found by the
+	// same pass that computed Hash; nil without source.
+	Calls []int
 }
 
 // NumFunctions returns the total number of functions in the outline.
@@ -92,40 +92,35 @@ func OutlineOf(m *ast.Module) *Outline {
 }
 
 // OutlineWithHashes computes the structural summary of a parsed module
-// against its exact source bytes, filling each function's byte span and
-// incremental content address (FuncHashes) in addition to the scheduling
-// metrics.
+// against its exact source bytes, filling each function's byte span,
+// incremental content address and direct calls (HashFuncs) in addition to
+// the scheduling metrics.
 func OutlineWithHashes(m *ast.Module, src []byte) *Outline {
 	o := OutlineOf(m)
-	hashes := FuncHashes(m, src)
-	for si, sec := range m.Sections {
-		for i, fn := range sec.Funcs {
-			fo := &o.Sections[si].Functions[i]
-			fo.Hash = hashes[FuncKey{Section: sec.Index, Index: i}]
-			if fn.Body != nil {
-				if sp, ok := span(src, fn.FuncPos.Offset, fn.Body.RbracePos.Offset+1); ok && len(sp) > 0 {
-					fo.SpanStart = fn.FuncPos.Offset
-					fo.SpanEnd = fn.Body.RbracePos.Offset + 1
-					fo.BodyStart = fn.Body.LbracePos.Offset
-					fo.StartLine = fn.FuncPos.Line
-					fo.StartCol = fn.FuncPos.Col
-					fo.EndLine = fn.Body.RbracePos.Line
-					fo.EndCol = fn.Body.RbracePos.Col
-				}
-			}
+	hashSections(m, src, func(si, i int, h FuncHash, calls []int) {
+		fo := &o.Sections[si].Functions[i]
+		fo.Hash, fo.Calls = h, calls
+		fn := m.Sections[si].Funcs[i]
+		if sp, ok := funcSpan(src, fn); ok && len(sp) > 0 {
+			fo.SpanStart = fn.FuncPos.Offset
+			fo.SpanEnd = fn.Body.RbracePos.Offset + 1
+			fo.BodyStart = fn.Body.LbracePos.Offset
 		}
-	}
+	})
 	return o
 }
 
 // ParseOutline performs the master's structural parse: a full parse of src
-// followed by outline extraction (spans and incremental hashes included).
-// Any syntax error lands in diags, which is how the paper's master aborts
-// the compilation before forking anything.
+// followed by outline extraction (spans, incremental hashes and calls
+// included). The outline keeps the parsed tree (Outline.Tree). Any syntax
+// error lands in diags, which is how the paper's master aborts the
+// compilation before forking anything.
 func ParseOutline(file string, src []byte, diags *source.DiagBag) *Outline {
 	m := Parse(file, src, diags)
 	if m == nil || diags.HasErrors() {
 		return nil
 	}
-	return OutlineWithHashes(m, src)
+	o := OutlineWithHashes(m, src)
+	o.Tree = m
+	return o
 }

@@ -2,10 +2,11 @@
 // language. It builds the syntax tree declared in internal/ast and performs
 // no name or type resolution; those are the checker's job (internal/sem).
 //
-// In the parallel compiler, parsing runs exactly twice per compilation: once
-// in the master process to discover the module structure (how many sections,
-// how many functions per section) for partitioning, and once more as part of
-// the sequential front end. Both uses go through Parse.
+// In the parallel compiler the master parses a module once: ParseOutline
+// discovers the structure (how many sections, how many functions per
+// section) for partitioning and keeps the tree, which the master's frontend
+// then checks. A remote worker that has no cached frontend for the source
+// parses it again in its own frontend. Every use goes through Parse.
 package parser
 
 import (
@@ -48,14 +49,6 @@ type parser struct {
 	tok source.Token
 	lit string
 	pos source.Pos
-
-	// Skeleton-parse state (span-sliced parallel parsing, parallel.go): when
-	// skip maps the offset of a function keyword to its outline, section()
-	// appends a nil placeholder instead of parsing the declaration and the
-	// scanner jumps past the recorded span. Unused (nil) in a normal parse.
-	file string
-	src  []byte
-	skip map[int]*FuncOutline
 }
 
 func (p *parser) next() {
@@ -162,15 +155,6 @@ func (p *parser) section() *ast.Section {
 	}
 	s.LbracePos = p.expect(source.LBRACE)
 	for p.tok == source.FUNCTION {
-		if fo, ok := p.skip[p.pos.Offset]; ok {
-			// Skeleton parse: this declaration is being parsed concurrently
-			// from its span; leave a placeholder slot (stitched by
-			// ParseModuleParallel) and jump the scanner past the body.
-			s.Funcs = append(s.Funcs, nil)
-			p.sc = source.NewScannerAt(p.file, p.src, p.diags, fo.SpanEnd, fo.EndLine, fo.EndCol+1)
-			p.next()
-			continue
-		}
 		f := p.funcDecl()
 		f.SectionIndex = s.Index
 		f.FuncIndex = len(s.Funcs)

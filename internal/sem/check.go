@@ -24,14 +24,7 @@ func (i *Info) ObjectOf(id *ast.Ident) *Object { return i.Uses[id] }
 // Info is valid even when errors were found, but callers must consult diags
 // before code generation.
 func Check(m *ast.Module, diags *source.DiagBag) *Info {
-	c := &checker{
-		diags: diags,
-		info: &Info{
-			Uses:     make(map[*ast.Ident]*Object),
-			FuncObjs: make(map[*ast.FuncDecl]*Object),
-			Locals:   make(map[*ast.FuncDecl][]*Object),
-		},
-	}
+	c := &checker{diags: diags, info: newInfo()}
 	c.module(m)
 	return c.info
 }

@@ -368,3 +368,36 @@ func TestScopeInsertLookup(t *testing.T) {
 		t.Error("Objects() must list declaration order")
 	}
 }
+
+// TestScopePrefixView: a view sees exactly the objects its scope held when
+// the view was taken — keep-first duplicates included — falls through to
+// the parent for anything inserted later, and refuses inserts.
+func TestScopePrefixView(t *testing.T) {
+	outer := NewScope(nil)
+	stream := &Object{Name: "g", Kind: StreamObj}
+	outer.Insert(stream)
+	sec := NewScope(outer)
+	f := &Object{Name: "f", Kind: FuncObj}
+	sec.Insert(f)
+	v1 := sec.prefixView()
+	g := &Object{Name: "g", Kind: FuncObj}
+	sec.Insert(g)
+	sec.Insert(&Object{Name: "f", Kind: FuncObj}) // duplicate: keep-first
+	v2 := sec.prefixView()
+
+	if v1.Lookup("f") != f || v1.LookupLocal("g") != nil || v1.Lookup("g") != stream {
+		t.Error("view 1 must see f only, and the outer g")
+	}
+	if v2.Lookup("f") != f || v2.Lookup("g") != g {
+		t.Error("view 2 must see the first f and the function g")
+	}
+	if got := v1.Objects(); len(got) != 1 || got[0] != f {
+		t.Errorf("view 1 objects = %v", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Insert into a view must panic")
+		}
+	}()
+	v2.Insert(&Object{Name: "h"})
+}

@@ -6,18 +6,20 @@
 // Pass B — checking each function body — is the bulk of the walk and is
 // independent per function once pass A has pinned down what every body can
 // see. CheckParallel runs pass A on the calling goroutine, then fans the
-// bodies out to a bounded worker group, each checking against a read-only
-// scope chain with a private Info and diagnostic bag, and merges the results
-// in declaration order so the output is word-identical to Check's.
+// bodies out to a bounded worker group — each body checked against a
+// read-only scope chain into a private diagnostic bag, each worker recording
+// into a private Info — and merges the results in declaration order so the
+// output is word-identical to Check's.
 //
-// The scope a body sees is a per-function flat snapshot instead of Check's
-// single mutable section scope: body i checks against scope_i, a fresh child
-// of the module scope holding functions 0..i-1 under the flat scope's
-// keep-first semantics (a duplicate name never displaces the first
-// declaration). Every lookup therefore resolves to exactly the object the
-// sequential checker would find, each scope_i is immutable by the time any
-// worker reads it, and — unlike a chain of single-entry scopes — lookup cost
-// does not grow with the function's position in the section.
+// Pass A builds each section's scope exactly as Check does — one keep-first
+// scope (a duplicate name never displaces the first declaration) into which
+// every function is inserted after its body's turn — and gives body i a
+// read-only prefix view of it: the view shares the section's map and sees
+// only the first i inserted objects, which are exactly the names Check's
+// scope holds when it checks body i. Every lookup therefore resolves to the
+// object the sequential checker would find, pass A does O(1) work per
+// function instead of copying its predecessors, and the shared map is
+// immutable by the time any worker reads it.
 package sem
 
 import (
@@ -43,11 +45,18 @@ func CheckFuncBody(fn *ast.FuncDecl, scope *Scope, info *Info, diags *source.Dia
 // bags pass A prepared for it.
 type checkUnit struct {
 	fn    *ast.FuncDecl
-	scope *Scope // read-only after pass A
+	scope *Scope // prefix view of the section scope
 
-	bodyBag   *source.DiagBag // filled by the worker
-	redeclBag *source.DiagBag // filled by pass A (redeclaration at fn.Pos)
-	info      *Info           // filled by the worker
+	bodyBag   source.DiagBag  // filled by the worker
+	redeclBag *source.DiagBag // filled by pass A (redeclaration at fn.Pos), or nil
+}
+
+func newInfo() *Info {
+	return &Info{
+		Uses:     make(map[*ast.Ident]*Object),
+		FuncObjs: make(map[*ast.FuncDecl]*Object),
+		Locals:   make(map[*ast.FuncDecl][]*Object),
+	}
 }
 
 // CheckParallel type-checks the module like Check but runs function bodies
@@ -62,16 +71,13 @@ func CheckParallel(ctx context.Context, m *ast.Module, diags *source.DiagBag, wo
 	if workers < 1 {
 		workers = 1
 	}
-	info := &Info{
-		Uses:     make(map[*ast.Ident]*Object),
-		FuncObjs: make(map[*ast.FuncDecl]*Object),
-		Locals:   make(map[*ast.FuncDecl][]*Object),
-	}
+	info := newInfo()
 	headBag := &source.DiagBag{}
 	hc := &checker{diags: headBag, info: info}
 
-	// Pass A: module scope, section checks, signatures, and the per-body
-	// scope chain. Mirrors checker.module/section minus funcBody.
+	// Pass A: module scope, section checks, signatures, and one section
+	// scope per section with a prefix view per body. Mirrors
+	// checker.module/section minus funcBody.
 	moduleScope := NewScope(nil)
 	for _, sp := range m.Streams {
 		t := hc.resolveType(sp.Type)
@@ -81,7 +87,7 @@ func CheckParallel(ctx context.Context, m *ast.Module, diags *source.DiagBag, wo
 		}
 	}
 
-	var units []*checkUnit
+	units := make([]checkUnit, 0, m.NumFunctions())
 	seenSection := make(map[int]source.Pos)
 	for _, sec := range m.Sections {
 		if pos, dup := seenSection[sec.Index]; dup {
@@ -93,57 +99,52 @@ func CheckParallel(ctx context.Context, m *ast.Module, diags *source.DiagBag, wo
 				sec.Index, sec.Of, len(m.Sections))
 		}
 
-		var visible []*Object // keep-first, in declaration order
-		first := make(map[string]*Object)
+		secScope := NewScope(moduleScope)
 		for _, fn := range sec.Funcs {
 			fn.Sig = hc.signature(fn)
 			obj := &Object{Name: fn.Name, Kind: FuncObj, Type: fn.Sig, Pos: fn.Pos(), Decl: fn}
 			info.FuncObjs[fn] = obj
-			snap := NewScope(moduleScope)
-			for _, o := range visible {
-				snap.Insert(o)
-			}
-			u := &checkUnit{fn: fn, scope: snap, bodyBag: &source.DiagBag{}, redeclBag: &source.DiagBag{}}
-			units = append(units, u)
-			if prev, dup := first[fn.Name]; dup {
+			// The view is taken before fn's own name goes in, so the body
+			// cannot call the function recursively.
+			units = append(units, checkUnit{fn: fn, scope: secScope.prefixView()})
+			if prev := secScope.Insert(obj); prev != nil {
+				u := &units[len(units)-1]
+				u.redeclBag = &source.DiagBag{}
 				u.redeclBag.Errorf(fn.Pos(), "function %s redeclared in section %d (previous declaration at %s)",
 					fn.Name, sec.Index, prev.Pos)
-			} else {
-				first[fn.Name] = obj
-				visible = append(visible, obj)
 			}
 		}
 	}
 
 	// Pass B: bounded fan-out over the bodies. Workers start only after pass
-	// A is complete, so every scope in the chain — and every fn.Sig — is
-	// immutable from here on.
+	// A is complete, so every section scope — and every fn.Sig — is
+	// immutable from here on. Each worker records uses and locals into its
+	// own Info; their keys are distinct, so merging them needs no order.
 	nw := workers
 	if nw > len(units) {
 		nw = len(units)
 	}
+	infos := make([]*Info, nw)
 	jobCh := make(chan *checkUnit)
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
-		go func() {
+		infos[w] = newInfo()
+		go func(winfo *Info) {
 			defer wg.Done()
 			for u := range jobCh {
-				pinfo := &Info{
-					Uses:     make(map[*ast.Ident]*Object),
-					FuncObjs: make(map[*ast.FuncDecl]*Object),
-					Locals:   make(map[*ast.FuncDecl][]*Object),
-				}
-				CheckFuncBody(u.fn, u.scope, pinfo, u.bodyBag)
-				u.info = pinfo
+				CheckFuncBody(u.fn, u.scope, winfo, &u.bodyBag)
 			}
-		}()
+		}(infos[w])
 	}
 	feed := func() error {
 		defer close(jobCh)
-		for _, u := range units {
+		for i := range units {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			select {
-			case jobCh <- u:
+			case jobCh <- &units[i]:
 			case <-ctx.Done():
 				return ctx.Err()
 			}
@@ -156,17 +157,20 @@ func CheckParallel(ctx context.Context, m *ast.Module, diags *source.DiagBag, wo
 		return nil, err
 	}
 
-	// Merge in declaration order. Equal-position pairs all occur within one
-	// function, where the sequential emission order is signature (headBag),
-	// then body — parameter redeclarations and the missing-return at fn.Pos
-	// — then the redeclaration of the function itself, also at fn.Pos.
+	// Merge diagnostics in declaration order. Equal-position pairs all occur
+	// within one function, where the sequential emission order is signature
+	// (headBag), then body — parameter redeclarations and the missing-return
+	// at fn.Pos — then the redeclaration of the function itself, also at
+	// fn.Pos.
 	diags.Merge(headBag)
-	for _, u := range units {
-		diags.MergeOrdered(u.bodyBag, u.redeclBag)
-		for id, obj := range u.info.Uses {
+	for i := range units {
+		diags.MergeOrdered(&units[i].bodyBag, units[i].redeclBag)
+	}
+	for _, winfo := range infos {
+		for id, obj := range winfo.Uses {
 			info.Uses[id] = obj
 		}
-		for fn, locals := range u.info.Locals {
+		for fn, locals := range winfo.Locals {
 			info.Locals[fn] = locals
 		}
 	}

@@ -3,6 +3,8 @@ package sem_test
 import (
 	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -67,6 +69,25 @@ section 1 of 3 {
 }
 section 1 {
 	function g(): int { return 2; }
+}
+`),
+		"func_named_like_stream": []byte(`module t (in g: float[2], out ys: float[2])
+section 1 {
+	function f(): float { return g[0]; }
+	function g(): float { return g[1]; }
+	function h(): float { return g() + g[0]; }
+}
+`),
+		"call_second_of_dup": []byte(`module t
+section 1 {
+	function f(): int { return 1; }
+	function f(): float { return float(f()) + 0.5; }
+	function g(): int { return f(); }
+	function k(): float { return f(); }
+}
+section 2 {
+	function f(): float { return 2.5; }
+	function g(): float { return f(); }
 }
 `),
 	}
@@ -168,4 +189,84 @@ func TestCheckParallelCancel(t *testing.T) {
 		t.Fatal("cancelled check returned an Info")
 	}
 	before.Check(t)
+}
+
+// resolved renders where every identifier use of info resolves to, keyed by
+// the use's position, so that the Infos of two parses can be compared object
+// for object.
+func resolved(info *sem.Info) map[source.Pos]string {
+	out := make(map[source.Pos]string, len(info.Uses))
+	for id, obj := range info.Uses {
+		out[id.Pos()] = fmt.Sprintf("%s %s at %s", obj.Kind, obj.Name, obj.Pos)
+	}
+	return out
+}
+
+// TestCheckParallelPrefixViewsResolveLikeCheck: body i checks against a
+// prefix view of its section's one keep-first scope, and every use must
+// resolve to the object Check resolves it to — a duplicated function name,
+// a function named like a stream, a call to a later function and a call to
+// the second of two same-named functions included — at every worker count.
+func TestCheckParallelPrefixViewsResolveLikeCheck(t *testing.T) {
+	for name, src := range semSources() {
+		seqMod := parseFor(t, src)
+		var seqBag source.DiagBag
+		want := resolved(sem.Check(seqMod, &seqBag))
+		for _, workers := range []int{1, 2, 4, 8} {
+			parMod := parseFor(t, src)
+			var parBag source.DiagBag
+			info, err := sem.CheckParallel(context.Background(), parMod, &parBag, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, wantDiags := parBag.String(), seqBag.String(); got != wantDiags {
+				t.Errorf("%s/w%d: diagnostics differ:\n got: %q\nwant: %q", name, workers, got, wantDiags)
+			}
+			got := resolved(info)
+			if len(got) != len(want) {
+				t.Errorf("%s/w%d: %d resolved uses, want %d", name, workers, len(got), len(want))
+			}
+			for pos, w := range want {
+				if got[pos] != w {
+					t.Errorf("%s/w%d: use at %s resolves to %q, want %q", name, workers, pos, got[pos], w)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckParallelPrefixAllocationIsLinear: pass A shares one section scope
+// among all bodies instead of copying functions 0..i-1 for every function
+// i, so doubling the functions of a section at most about doubles what a
+// check allocates. Bytes are measured as well as allocations: per-body
+// copies grow the bytes quadratically while map growth keeps their count
+// near n log n.
+func TestCheckParallelPrefixAllocationIsLinear(t *testing.T) {
+	measure := func(n int) (allocs, bytes float64) {
+		m := parseFor(t, wgen.SmallFuncsProgram(n))
+		check := func() {
+			if _, err := sem.CheckParallel(context.Background(), m, &source.DiagBag{}, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(3, check)
+		bytes = math.Inf(1)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			check()
+			runtime.ReadMemStats(&after)
+			bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
+		}
+		return allocs, bytes
+	}
+	a256, b256 := measure(256)
+	a512, b512 := measure(512)
+	t.Logf("CheckParallel: %.0f allocations, %.0f bytes at 256 functions; %.0f, %.0f at 512", a256, b256, a512, b512)
+	if a512 > 2.2*a256 {
+		t.Errorf("allocations grow faster than linearly: %.0f at 512 functions > 2.2 × %.0f at 256", a512, a256)
+	}
+	if b512 > 2.2*b256 {
+		t.Errorf("allocated bytes grow faster than linearly: %.0f at 512 functions > 2.2 × %.0f at 256", b512, b256)
+	}
 }

@@ -4,63 +4,6 @@ import (
 	"testing"
 )
 
-// TestNewScannerAtMatchesFullScan seeds a scanner at every token boundary of
-// a program and checks that the tokens it produces from there are identical
-// — literal and position — to the full scan's suffix.
-func TestNewScannerAtMatchesFullScan(t *testing.T) {
-	src := []byte(`module m (out ys: float[2])
-// comment line
-section 1 of 1 {
-    function f(a: int): float {
-        var x: float = 1.5; /* block */
-        x = x * 2.0e1;
-        return x;
-    }
-}
-`)
-	var bag DiagBag
-	full := ScanAll("m.w2", src, &bag)
-	if bag.HasErrors() {
-		t.Fatal(bag.String())
-	}
-	for i, at := range full {
-		if at.Tok == EOF {
-			break
-		}
-		var seedBag DiagBag
-		s := NewScannerAt("m.w2", src, &seedBag, at.Pos.Offset, at.Pos.Line, at.Pos.Col)
-		for j := i; j < len(full); j++ {
-			tok, lit, pos := s.Next()
-			want := full[j]
-			if tok != want.Tok || lit != want.Lit || pos != want.Pos {
-				t.Fatalf("seed at token %d: token %d = %v %q %v, want %v %q %v",
-					i, j, tok, lit, pos, want.Tok, want.Lit, want.Pos)
-			}
-			if tok == EOF {
-				break
-			}
-		}
-		if seedBag.HasErrors() {
-			t.Fatalf("seed at token %d: %s", i, seedBag.String())
-		}
-	}
-}
-
-// TestNewScannerAtClamps checks the defensive clamping of out-of-range
-// offsets.
-func TestNewScannerAtClamps(t *testing.T) {
-	src := []byte("module m")
-	var bag DiagBag
-	s := NewScannerAt("m.w2", src, &bag, len(src)+10, 1, 1)
-	if tok, _, _ := s.Next(); tok != EOF {
-		t.Fatalf("past-end seed: got %v, want EOF", tok)
-	}
-	s = NewScannerAt("m.w2", src, &bag, -5, 1, 1)
-	if tok, lit, _ := s.Next(); tok != MODULE {
-		t.Fatalf("negative seed: got %v %q, want module keyword", tok, lit)
-	}
-}
-
 // TestMergeOrderedDeterministic checks that merging producer bags in
 // declaration order renders the same output regardless of which producer
 // recorded first, and that equal-position diagnostics keep bag-merge order.

@@ -25,28 +25,6 @@ func NewScanner(file string, src []byte, diags *DiagBag) *Scanner {
 	return s
 }
 
-// NewScannerAt returns a scanner over src that starts mid-buffer: the first
-// character it reads is src[offset], whose position is (line, col). Because
-// line and column depend only on the bytes before offset, seeding them with
-// the values a full scan would have reached there makes every subsequent
-// token position identical to the full scan's — the property the span-sliced
-// parallel parser relies on (internal/parser.ParseFuncBody parses each
-// function body from its recorded byte span). offset may equal len(src), in
-// which case the scanner reports EOF immediately.
-func NewScannerAt(file string, src []byte, diags *DiagBag, offset, line, col int) *Scanner {
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > len(src) {
-		offset = len(src)
-	}
-	// advance() will move next→offset and bump col by one (the placeholder
-	// ch is not '\n'), landing exactly on (line, col).
-	s := &Scanner{file: file, src: src, diags: diags, next: offset, line: line, col: col - 1}
-	s.advance()
-	return s
-}
-
 const eofRune = rune(-1)
 
 // advance moves to the next input character. Only ASCII input is meaningful
