@@ -110,12 +110,15 @@ func TestTwoDaemonPeerSoak(t *testing.T) {
 	// least part of the module from A; the fourth parks on the hang. While
 	// it is parked, kill A — connection severed mid-fetch. B's job must
 	// still complete, word-identical, by compiling whatever the fleet never
-	// delivered.
+	// delivered. The fetches share one connection, so the kill also waits
+	// for B to have received a passed fetch's reply: severing as soon as the
+	// fourth fetch is decided can beat every reply onto the wire on a loaded
+	// host, and then B never fills at all.
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
 		deadline := time.Now().Add(5 * time.Second)
-		for planA.Calls() < 4 && time.Now().Before(deadline) {
+		for (planA.Calls() < 4 || poolB.CacheStats().PeerHits == 0) && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		peerSrvA.Close() // kills the parked fetch's transport too
