@@ -169,23 +169,10 @@ func main() {
 		if *workers == "" {
 			fatal(fmt.Errorf("-mode rpc requires -workers"))
 		}
-		popts := cluster.PoolOptions{
-			CallTimeout:     *callTimeout,
-			MaxRetries:      *maxRetries,
-			DialRetry:       *dialRetry,
-			DisableFallback: *noFallback,
-			CacheDir:        *cacheDir,
-			Peers:           peerAddrs,
-		}
-		if *callTimeout == 0 {
-			popts.CallTimeout = -1
-		}
-		if *maxRetries == 0 {
-			popts.MaxRetries = -1
-		}
-		if *dialRetry == 0 {
-			popts.DialRetry = -1
-		}
+		popts := cluster.FlagPoolOptions(*callTimeout, *maxRetries, *dialRetry)
+		popts.DisableFallback = *noFallback
+		popts.CacheDir = *cacheDir
+		popts.Peers = peerAddrs
 		pool, derr := cluster.DialPoolWith(strings.Split(*workers, ","), popts)
 		if derr != nil {
 			fatal(derr)

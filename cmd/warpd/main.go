@@ -66,20 +66,16 @@ func main() {
 		grace      = flag.Duration("grace", 30*time.Second, "drain period for accepted jobs on SIGINT/SIGTERM")
 
 		callTimeout = flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline for remote workers (0 disables)")
-		maxRetries  = flag.Int("max-retries", 3, "max failover attempts per request for remote workers")
-		dialRetry   = flag.Duration("dial-retry", 500*time.Millisecond, "readmission probe period for quarantined workers")
+		maxRetries  = flag.Int("max-retries", 3, "max failover attempts per request for remote workers (0 disables)")
+		dialRetry   = flag.Duration("dial-retry", 500*time.Millisecond, "probe period for readmitting quarantined workers (0 disables)")
 	)
 	flag.Parse()
 
 	var backend core.Backend
 	var cache *fcache.Cache
 	if *workers != "" {
-		popts := cluster.PoolOptions{
-			CallTimeout: *callTimeout,
-			MaxRetries:  *maxRetries,
-			DialRetry:   *dialRetry,
-			CacheDir:    *cacheDir,
-		}
+		popts := cluster.FlagPoolOptions(*callTimeout, *maxRetries, *dialRetry)
+		popts.CacheDir = *cacheDir
 		pool, err := cluster.DialPoolWith(strings.Split(*workers, ","), popts)
 		if err != nil {
 			fatal(err)

@@ -2,8 +2,9 @@ package cluster_test
 
 // Batched-dispatch tests: multi-function CompileBatch units over real RPC
 // workers and the LocalPool, policy equivalence (FCFS ≡ one request per
-// function), and batch-aware failover (a transiently failed batch splits in
-// half and converges with word-identical output).
+// function), and the failover loop (a transiently failed batch splits in
+// half, a failed one-function unit retries, and both converge with
+// word-identical output).
 
 import (
 	"context"
@@ -133,6 +134,40 @@ func TestBatchSplitOnChaosFailure(t *testing.T) {
 	}
 	if stats.Dispatch.Batches == 0 {
 		t.Errorf("expected batched dispatch, got %+v", stats.Dispatch)
+	}
+}
+
+// TestSingleFunctionUnitsRetryOnChaosFailure drives the other half of the
+// failover loop: under FCFS every unit is one function, so a unit that
+// fails transiently must retry on a worker — never split, never fall back
+// in-process — and still yield word-identical output.
+func TestSingleFunctionUnitsRetryOnChaosFailure(t *testing.T) {
+	noAmbientDiskCache(t)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Drop}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, addr)
+	}
+	opts := fastOpts()
+	opts.MaxRetries = 8
+	pool, err := cluster.DialPoolWith(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	stats := compileBothWith(t, "small.w2", wgen.SmallFuncsProgram(12), pool,
+		core.ParallelOptions{Sched: core.SchedFCFS})
+	f := stats.Faults
+	if f.Retries < 1 {
+		t.Errorf("expected the dropped units to be retried, got %s", f)
+	}
+	if f.BatchSplits != 0 || f.LocalFallbacks != 0 {
+		t.Errorf("one-function units must retry remotely, not split or fall back: %s", f)
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"testing"
 	"time"
@@ -196,5 +197,28 @@ func TestStoreSourceVerifiesHash(t *testing.T) {
 	blob.Source = good
 	if err := w.StoreSource(blob, &resp); err != nil {
 		t.Errorf("valid source blob rejected: %v", err)
+	}
+}
+
+// TestCompileBatchVerifiesSourceHash: a compile request carrying full source
+// under another module's hash must be refused as a bad request — not
+// answered from the other module's cached frontend, and not stored under
+// the wrong address.
+func TestCompileBatchVerifiesSourceHash(t *testing.T) {
+	w := NewWorker(0)
+	srcA, srcB := wgen.SyntheticProgram(wgen.Tiny, 1), wgen.SmallFuncsProgram(2)
+	hA := fcache.HashSource(srcA)
+	item := []core.BatchItem{{Section: 1, Index: 0}}
+	var reply BatchReply
+	if err := w.CompileBatch(core.BatchRequest{File: "a.w2", Source: srcA, SourceHash: hA, Items: item}, &reply); err != nil {
+		t.Fatalf("honest request failed: %v", err)
+	}
+	reply = BatchReply{}
+	err := w.CompileBatch(core.BatchRequest{File: "b.w2", Source: srcB, SourceHash: hA, Items: item}, &reply)
+	if CodeOf(err) != CodeBadRequest || transient(err) {
+		t.Errorf("mislabelled source answered %v (replies %d), want a fatal bad request", err, len(reply.Replies))
+	}
+	if got, _ := w.cache.Source(hA); !bytes.Equal(got, srcA) {
+		t.Error("mislabelled source replaced the stored source")
 	}
 }

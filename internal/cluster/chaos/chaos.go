@@ -1,15 +1,15 @@
 // Package chaos is a deterministic fault-injection harness for the cluster
 // dispatch layer. It serves the real cluster.Worker RPC surface but routes
-// every Compile and CompileBatch through a fault plan that can delay the
-// reply, hang past the caller's deadline, answer with an injected error, or
-// drop the underlying connection mid-call — the failure modes of the
-// paper's shared workstation fleet (loaded, rebooted, or unreachable
+// every CompileBatch — the one compile RPC — through a fault plan that can
+// delay the reply, hang past the caller's deadline, answer with an injected
+// error, or drop the underlying connection mid-call — the failure modes of
+// the paper's shared workstation fleet (loaded, rebooted, or unreachable
 // machines), scripted so tests can drive each recovery path on purpose.
 //
 // Plans are either scripted (an explicit fault sequence, then pass-through)
 // or seeded-random (reproducible chaos for soak tests). Faults apply per
-// call in global arrival order across all connections; a batch draws one
-// fault for the whole unit.
+// call in global arrival order across all connections; a unit of several
+// functions draws one fault for the whole unit.
 package chaos
 
 import (
@@ -52,7 +52,7 @@ type Fault struct {
 	Err  string        // ErrorReply message
 }
 
-// Random configures the seeded-random tail of a plan: each Compile draws
+// Random configures the seeded-random tail of a plan: each compile call draws
 // independently; at most one fault kind fires per call (checked in the
 // order drop, error, delay).
 type Random struct {
@@ -63,7 +63,7 @@ type Random struct {
 	Delay     time.Duration
 }
 
-// Plan decides the fault for each Compile call. Safe for concurrent use.
+// Plan decides the fault for each compile call. Safe for concurrent use.
 type Plan struct {
 	mu     sync.Mutex
 	script []Fault
@@ -74,7 +74,7 @@ type Plan struct {
 }
 
 // Script returns a plan that applies the given faults to the first len
-// Compile calls in order, then passes everything through.
+// compile calls in order, then passes everything through.
 func Script(faults ...Fault) *Plan {
 	return &Plan{script: faults}
 }
@@ -84,14 +84,14 @@ func Seeded(seed int64, cfg Random) *Plan {
 	return &Plan{rng: rand.New(rand.NewSource(seed)), random: cfg}
 }
 
-// Calls reports how many Compile calls the plan has decided.
+// Calls reports how many compile calls the plan has decided.
 func (p *Plan) Calls() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.calls
 }
 
-// take returns the fault for the next Compile call.
+// take returns the fault for the next compile call.
 func (p *Plan) take() Fault {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -127,7 +127,7 @@ type Server struct {
 	closed bool
 }
 
-// Serve starts a worker on addr (e.g. "127.0.0.1:0") whose Compile calls
+// Serve starts a worker on addr (e.g. "127.0.0.1:0") whose compile calls
 // pass through plan. The worker keeps a real artifact cache (cacheBytes as
 // in cluster.NewWorker) shared across connections, so recovery tests see
 // genuine cache-protocol traffic too.
@@ -256,15 +256,8 @@ func (f *faultyWorker) inject() error {
 	return nil
 }
 
-func (f *faultyWorker) Compile(req core.CompileRequest, reply *core.CompileReply) error {
-	if err := f.inject(); err != nil {
-		return err
-	}
-	return f.s.worker.Compile(req, reply)
-}
-
-// CompileBatch draws one fault per batch — a faulted batch fails (or hangs,
-// or drops) whole, driving the client's split-retry path.
+// CompileBatch draws one fault per call — a faulted unit fails (or hangs,
+// or drops) whole, driving the client's split or retry path.
 func (f *faultyWorker) CompileBatch(req core.BatchRequest, reply *cluster.BatchReply) error {
 	if err := f.inject(); err != nil {
 		return err

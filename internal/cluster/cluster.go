@@ -9,6 +9,11 @@
 //     address spaces connected by a byte stream, the closest stdlib
 //     equivalent of the paper's message-passing UNIX processes.
 //
+// Both serve one operation, core.Backend.CompileBatch: a dispatch unit of
+// one or more functions goes to one worker and its objects come back.
+// Compile is a batch of one. Over the wire that is one RPC,
+// Worker.CompileBatch.
+//
 // Both backends are cached (internal/fcache). The LocalPool shares one
 // cache between the master and all workers, so a module is parsed and
 // type-checked once per compilation instead of once per function. Each RPC
@@ -18,12 +23,13 @@
 // per-request wire bytes drop from O(|source|) to O(1).
 //
 // Unlike the paper's system — where a workstation failing mid-compile
-// failed the compilation — the RPCPool is fault-tolerant: calls carry
-// deadlines, failed requests fail over to other workers (they are pure
-// functions of source hash and options, so replay is safe), repeatedly
-// failing workers are quarantined and probed for readmission, and when no
-// worker is left the pool compiles in-process so the compilation still
-// completes. See pool.go.
+// failed the compilation — the RPCPool is fault-tolerant. Calls carry
+// deadlines. Units are pure functions of source hash and options, so replay
+// is safe: one failover loop splits a failed multi-function unit in half,
+// retries a failed single function on another worker with backoff, and
+// compiles it in-process when no worker is left, so the compilation still
+// completes. Repeatedly failing workers are quarantined and probed for
+// readmission. See pool.go.
 package cluster
 
 import (
@@ -75,27 +81,17 @@ func (p *LocalPool) Cache() *fcache.Cache { return p.cache }
 // CacheStats reports the shared cache's counters.
 func (p *LocalPool) CacheStats() fcache.Stats { return p.cache.Stats() }
 
-// Compile runs the request on the next free worker, blocking until one is
-// available — exactly the FCFS placement of the paper. A cancelled ctx
-// abandons the wait for a worker; a compile already running completes
-// (phases 2+3 are not preemptible in-process) but its reply is discarded.
+// Compile runs one function as a batch of one.
 func (p *LocalPool) Compile(ctx context.Context, req core.CompileRequest) (*core.CompileReply, error) {
-	select {
-	case p.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-p.sem }()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return core.RunFunctionMasterWith(req, p.cache)
+	return core.CompileOne(ctx, p, req)
 }
 
-// CompileBatch runs a whole dispatch unit on the next free worker: the batch
-// occupies one processor for its duration, exactly as a single function
-// would, so packing small functions costs one slot instead of N.
-// Cancellation stops between batch items.
+// CompileBatch runs a dispatch unit on the next free worker, blocking until
+// one is available — exactly the FCFS placement of the paper. The unit
+// occupies one processor for its duration, so packing small functions costs
+// one slot instead of N. A cancelled ctx abandons the wait for a worker and
+// stops between items; the item already running completes (phases 2+3 are
+// not preemptible in-process) but its reply is discarded.
 func (p *LocalPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]*core.CompileReply, error) {
 	select {
 	case p.sem <- struct{}{}:
@@ -211,43 +207,6 @@ func (w *Worker) drain(grace time.Duration) bool {
 	}
 }
 
-// Compile is the RPC method invoked by section masters. Requests may omit
-// the source when the worker already holds it (content-addressed by
-// req.SourceHash). Compile errors are wrapped with CodeCompile so clients
-// can tell "the source is bad" from "the worker is bad".
-func (w *Worker) Compile(req core.CompileRequest, reply *core.CompileReply) error {
-	if !w.begin() {
-		return codeErr(CodeUnavailable, "worker: draining, not accepting new compiles")
-	}
-	defer w.inflight.Done()
-	release := w.acquireSlot()
-	defer release()
-	if len(req.Source) == 0 {
-		src, ok := w.cache.Source(req.SourceHash)
-		if !ok {
-			// The source is not resident, but a hash-only request can still
-			// be answered entirely from the object tier (in warm runs the
-			// disk tier makes this the common case for a fresh worker) or
-			// fetched from a peer that already compiled it — the incremental
-			// fast path needs no source at all.
-			if e, hit := compiler.LookupObjectAnywhere(w.cache, req.FuncHash, req.Opts); hit {
-				*reply = *core.ReplyFromEntry(e, 0, true)
-				return nil
-			}
-			return codeErr(CodeMissingSource, "worker: source not resident for hash %s", req.SourceHash)
-		}
-		req.Source = src
-	} else if !req.SourceHash.IsZero() {
-		w.cache.PutSource(req.SourceHash, req.Source)
-	}
-	r, err := core.RunFunctionMasterWith(req, w.cache)
-	if err != nil {
-		return codeErr(CodeCompile, "%v", err)
-	}
-	*reply = *r
-	return nil
-}
-
 // BatchReply is the Worker.CompileBatch reply: one compile reply per
 // requested item, in item order. Replies travel by value so the gob stream
 // never carries nil pointers.
@@ -255,10 +214,14 @@ type BatchReply struct {
 	Replies []core.CompileReply
 }
 
-// CompileBatch compiles every item of the batch on this worker in one round
-// trip, amortizing the per-request overhead that dominates small functions.
-// Source-residency rules match Compile; replies align with req.Items. Any
-// item's compile error fails the whole batch with CodeCompile.
+// CompileBatch is the one compile RPC, invoked by section masters with a
+// dispatch unit of one or more functions; replies align with req.Items.
+// Requests may omit the source when the worker already holds it
+// (content-addressed by req.SourceHash). A request that carries both is
+// checked like StoreSource, so a mislabelled source can neither poison the
+// source store nor be answered from another module's cached frontend. Any
+// item's compile error fails the whole batch with CodeCompile, so clients
+// can tell "the source is bad" from "the worker is bad".
 func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 	if !w.begin() {
 		return codeErr(CodeUnavailable, "worker: draining, not accepting new compiles")
@@ -269,8 +232,10 @@ func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 	if len(req.Source) == 0 {
 		src, ok := w.cache.Source(req.SourceHash)
 		if !ok {
-			// As in Compile: a batch whose every item hits the object tier
-			// needs no source.
+			// The source is not resident, but a hash-only batch whose every
+			// item hits the object tier (in warm runs the disk tier makes this
+			// the common case for a fresh worker) or a peer that already
+			// compiled it needs no source at all — the incremental fast path.
 			if replies, all := w.batchFromCache(&req); all {
 				reply.Replies = replies
 				return nil
@@ -279,6 +244,9 @@ func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 		}
 		req.Source = src
 	} else if !req.SourceHash.IsZero() {
+		if got := fcache.HashSource(req.Source); got != req.SourceHash {
+			return codeErr(CodeBadRequest, "worker: source hash mismatch: got %s, want %s", got, req.SourceHash)
+		}
 		w.cache.PutSource(req.SourceHash, req.Source)
 	}
 	// net/rpc carries no context; the pool cancels by severing the
@@ -401,7 +369,7 @@ type WorkerServer struct {
 // requests with a cache bounded to cacheBytes (0 selects the default;
 // negative disables caching) until closed or shut down.
 func NewWorkerServer(addr string, cacheBytes int64) (*WorkerServer, error) {
-	return serveWorker(addr, NewWorker(cacheBytes))
+	return serveWorkerPeers(addr, NewWorker(cacheBytes), nil)
 }
 
 // NewWorkerServerDir is NewWorkerServer with an explicit disk cache
@@ -409,24 +377,18 @@ func NewWorkerServer(addr string, cacheBytes int64) (*WorkerServer, error) {
 // means no disk tier beyond the environment's). Several workers may share
 // one directory — entries are content-addressed and deterministic.
 func NewWorkerServerDir(addr string, cacheBytes int64, dir string) (*WorkerServer, error) {
-	return NewWorkerServerJobs(addr, cacheBytes, dir, 1)
+	return NewWorkerServerPeers(addr, cacheBytes, dir, 1, nil)
 }
 
-// NewWorkerServerJobs is NewWorkerServerDir with an explicit concurrent-
-// compile bound: up to jobs compiles run simultaneously, the rest queue
-// (jobs < 1 is treated as 1). cmd/warpworker exposes it as -jobs, defaulting
-// to the machine's CPU count.
-func NewWorkerServerJobs(addr string, cacheBytes int64, dir string, jobs int) (*WorkerServer, error) {
-	return NewWorkerServerPeers(addr, cacheBytes, dir, jobs, nil)
-}
-
-// NewWorkerServerPeers is NewWorkerServerJobs joined to a peer fleet: the
+// NewWorkerServerPeers is NewWorkerServerDir with an explicit concurrent-
+// compile bound, joined to a peer fleet. Up to jobs compiles run
+// simultaneously and the rest queue (jobs < 1 is treated as 1). The
 // worker's cache fetches finished objects from the given peer addresses
 // (other workers' or daemons' peer listeners) before recompiling, and its
 // own address is gossiped to them so the mesh converges. An empty peers
 // list still serves the peer protocol — other processes may fetch from this
-// worker — it just fetches from nobody. cmd/warpworker exposes it as
-// -peers.
+// worker — it just fetches from nobody. cmd/warpworker exposes the bound as
+// -jobs (defaulting to the machine's CPU count) and the fleet as -peers.
 func NewWorkerServerPeers(addr string, cacheBytes int64, dir string, jobs int, peers []string) (*WorkerServer, error) {
 	w := NewWorkerJobs(cacheBytes, jobs)
 	if dir != "" {
@@ -438,10 +400,6 @@ func NewWorkerServerPeers(addr string, cacheBytes int64, dir string, jobs int, p
 		}
 	}
 	return serveWorkerPeers(addr, w, peers)
-}
-
-func serveWorker(addr string, w *Worker) (*WorkerServer, error) {
-	return serveWorkerPeers(addr, w, nil)
 }
 
 func serveWorkerPeers(addr string, w *Worker, peers []string) (*WorkerServer, error) {
@@ -551,6 +509,5 @@ func ServeWorkerWith(addr string, cacheBytes int64) (net.Listener, string, error
 }
 
 var _ core.Backend = (*LocalPool)(nil)
-var _ core.BatchBackend = (*LocalPool)(nil)
 var _ core.CacheProvider = (*LocalPool)(nil)
 var _ core.CacheStatser = (*LocalPool)(nil)

@@ -85,15 +85,15 @@ func TestRetryableCodes(t *testing.T) {
 }
 
 // TestWorkerDrainRefusesNewCompiles checks the draining protocol directly:
-// after drain starts, Compile and Ping answer coded unavailable errors.
+// after drain starts, CompileBatch and Ping answer coded unavailable errors.
 func TestWorkerDrainRefusesNewCompiles(t *testing.T) {
 	w := NewWorker(0)
 	if !w.drain(time.Second) {
 		t.Fatal("idle worker failed to drain")
 	}
-	var reply core.CompileReply
-	err := w.Compile(core.CompileRequest{
-		File: "m.w2", Source: wgen.SyntheticProgram(wgen.Tiny, 1), Section: 1, Index: 0,
+	var reply BatchReply
+	err := w.CompileBatch(core.BatchRequest{
+		File: "m.w2", Source: wgen.SyntheticProgram(wgen.Tiny, 1), Items: []core.BatchItem{{Section: 1, Index: 0}},
 	}, &reply)
 	if CodeOf(err) != CodeUnavailable {
 		t.Errorf("draining worker answered %v, want coded unavailable", err)
@@ -116,5 +116,30 @@ func TestPoolOptionsDefaults(t *testing.T) {
 	d := PoolOptions{CallTimeout: -1, MaxRetries: -1, DialRetry: -1}.withDefaults()
 	if d.CallTimeout >= 0 || d.MaxRetries != 0 || d.DialRetry >= 0 {
 		t.Errorf("negative overrides not preserved: %+v", d)
+	}
+}
+
+// TestFlagPoolOptions pins the binaries' flag mapping: a 0 flag disables
+// the mechanism, any other value passes through, and PoolOptions' own
+// defaults never leak in.
+func TestFlagPoolOptions(t *testing.T) {
+	cases := []struct {
+		callTimeout time.Duration
+		maxRetries  int
+		dialRetry   time.Duration
+		want        PoolOptions // after withDefaults
+	}{
+		{0, 0, 0, PoolOptions{CallTimeout: -1, MaxRetries: 0, DialRetry: -1}},
+		{30 * time.Second, 3, 500 * time.Millisecond, PoolOptions{CallTimeout: 30 * time.Second, MaxRetries: 3, DialRetry: 500 * time.Millisecond}},
+		{time.Second, 8, 0, PoolOptions{CallTimeout: time.Second, MaxRetries: 8, DialRetry: -1}},
+		{0, 0, time.Second, PoolOptions{CallTimeout: -1, MaxRetries: 0, DialRetry: time.Second}},
+	}
+	for _, c := range cases {
+		got := FlagPoolOptions(c.callTimeout, c.maxRetries, c.dialRetry).withDefaults()
+		if got.CallTimeout != c.want.CallTimeout || got.MaxRetries != c.want.MaxRetries || got.DialRetry != c.want.DialRetry {
+			t.Errorf("FlagPoolOptions(%v, %d, %v) = timeout %v, retries %d, dial-retry %v; want %v, %d, %v",
+				c.callTimeout, c.maxRetries, c.dialRetry, got.CallTimeout, got.MaxRetries, got.DialRetry,
+				c.want.CallTimeout, c.want.MaxRetries, c.want.DialRetry)
+		}
 	}
 }

@@ -385,6 +385,9 @@ func TestDrainRefusalNotCountedTowardQuarantine(t *testing.T) {
 	if f.LocalFallbacks != 0 {
 		t.Errorf("compile fell back locally instead of failing over on the worker: %s", f)
 	}
+	if f.BatchSplits != 0 {
+		t.Errorf("a one-function unit was split: %s", f)
+	}
 }
 
 // TestChaosSeededSoak runs a module through seeded random chaos (drops and
@@ -444,9 +447,9 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	results := make(chan error, n)
 	for _, c := range clients {
 		go func(c *rpc.Client) {
-			var reply core.CompileReply
-			results <- c.Call("Worker.Compile", core.CompileRequest{
-				File: "gen-large.w2", Source: src, Section: 1, Index: 0,
+			var reply cluster.BatchReply
+			results <- c.Call("Worker.CompileBatch", core.BatchRequest{
+				File: "gen-large.w2", Source: src, Items: []core.BatchItem{{Section: 1, Index: 0}},
 			}, &reply)
 		}(c)
 	}

@@ -41,9 +41,9 @@ func TestWorkerJobsQueueNotInterleave(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var reply core.CompileReply
-			errs[i] = w.Compile(core.CompileRequest{
-				File: "m.w2", Source: src, Section: 1, Index: i,
+			var reply BatchReply
+			errs[i] = w.CompileBatch(core.BatchRequest{
+				File: "m.w2", Source: src, Items: []core.BatchItem{{Section: 1, Index: i}},
 			}, &reply)
 		}(i)
 	}
@@ -68,8 +68,8 @@ func TestWorkerJobsBlockUntilSlotFree(t *testing.T) {
 	src := wgen.SyntheticProgram(wgen.Tiny, 1)
 	done := make(chan error, 1)
 	go func() {
-		var reply core.CompileReply
-		done <- w.Compile(core.CompileRequest{File: "m.w2", Source: src, Section: 1, Index: 0}, &reply)
+		var reply BatchReply
+		done <- w.CompileBatch(core.BatchRequest{File: "m.w2", Source: src, Items: []core.BatchItem{{Section: 1, Index: 0}}}, &reply)
 	}()
 
 	select {

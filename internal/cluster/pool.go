@@ -94,6 +94,24 @@ func (o PoolOptions) withDefaults() PoolOptions {
 	return o
 }
 
+// FlagPoolOptions maps the binaries' -call-timeout, -max-retries and
+// -dial-retry flags onto PoolOptions. On the command line 0 disables the
+// mechanism, while PoolOptions reads 0 as "use the default", so a 0 flag
+// becomes -1 here.
+func FlagPoolOptions(callTimeout time.Duration, maxRetries int, dialRetry time.Duration) PoolOptions {
+	o := PoolOptions{CallTimeout: callTimeout, MaxRetries: maxRetries, DialRetry: dialRetry}
+	if callTimeout == 0 {
+		o.CallTimeout = -1
+	}
+	if maxRetries == 0 {
+		o.MaxRetries = -1
+	}
+	if dialRetry == 0 {
+		o.DialRetry = -1
+	}
+	return o
+}
+
 // poolWorker is the pool's view of one remote workstation: its address
 // (stable across restarts), the current client (nil while quarantined), and
 // the cache-protocol state that was previously keyed by client pointer —
@@ -157,19 +175,17 @@ func (w *poolWorker) markCacheDisabled() {
 	w.noCache = true
 }
 
-// RPCPool dispatches compile requests to remote workers over net/rpc with
-// FCFS placement: a request takes the first worker that frees up. The pool
+// RPCPool dispatches units to remote workers over net/rpc with FCFS
+// placement: a unit takes the first worker that frees up. The pool
 // remembers which workers hold which sources and sends hash-only requests
 // whenever it can.
 //
-// Dispatch is fault-tolerant. Compile requests are pure functions of
-// (source hash, section, index, options), so on a deadline or transport
-// error the pool replays the request on another free worker with capped
-// exponential backoff. Workers failing repeatedly are quarantined; a
-// background goroutine re-dials them and readmits responders, so a worker
-// restarted on the same address rejoins the pool. When every worker is
-// quarantined the pool compiles in-process (unless disabled), so the
-// compilation completes even with the whole cluster down.
+// Dispatch is fault-tolerant; CompileBatch holds the one failover loop.
+// Workers failing repeatedly are quarantined; a background goroutine
+// re-dials them and readmits responders, so a worker restarted on the same
+// address rejoins the pool. When every worker is quarantined the pool
+// compiles in-process (unless disabled), so the compilation completes even
+// with the whole cluster down.
 type RPCPool struct {
 	opts    PoolOptions
 	workers []*poolWorker
@@ -333,17 +349,36 @@ func (p *RPCPool) call(ctx context.Context, w *poolWorker, method string, args, 
 	return err
 }
 
-// Compile sends the request to a free worker, failing over with backoff on
-// transient errors — the request is a pure function of (source hash,
-// options), so replaying it elsewhere is safe. When every worker is
-// quarantined (or retries are exhausted) the pool compiles in-process so
-// the compilation completes anyway, mirroring how the paper's pmake fell
-// back to plain make when the network was sick. A cancelled ctx severs the
-// in-flight RPC (net/rpc has no cancellation: the transport is closed) and
-// returns ctx.Err() immediately — no retry, no fallback.
+// Compile runs one function as a batch of one.
 func (p *RPCPool) Compile(ctx context.Context, req core.CompileRequest) (*core.CompileReply, error) {
+	return core.CompileOne(ctx, p, req)
+}
+
+// CompileBatch sends a dispatch unit to one free worker in a single round
+// trip. It holds the pool's one failover loop. The unit is a pure function
+// of (source hash, options), so replaying it elsewhere is safe, and a
+// worker that fails transiently is penalized. Then:
+//
+//   - a unit of several functions splits in half, and the halves retry
+//     concurrently on whatever workers remain;
+//   - a single function retries on the next free worker with capped
+//     exponential backoff, up to MaxRetries, and then compiles in-process,
+//     mirroring how the paper's pmake fell back to plain make when the
+//     network was sick.
+//
+// With no worker in rotation the same split-or-fall-back step applies, so
+// the compilation completes even with the whole cluster down. A
+// deterministic answer (compile error, bad request) fails the unit at once:
+// every worker would answer the same, and replaying a poisoned unit would
+// just spread it. A cancelled ctx severs the in-flight RPC (net/rpc has no
+// cancellation: the transport is closed) and returns ctx.Err() — no retry,
+// no fallback.
+func (p *RPCPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]*core.CompileReply, error) {
 	if req.SourceHash.IsZero() && len(req.Source) > 0 {
 		req.SourceHash = fcache.HashSource(req.Source)
+	}
+	if len(req.Items) == 0 {
+		return nil, nil
 	}
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -352,9 +387,9 @@ func (p *RPCPool) Compile(ctx context.Context, req core.CompileRequest) (*core.C
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			return p.fallback(ctx, req, lastErr)
+			break
 		}
-		reply, err := p.compileOn(ctx, w, req)
+		replies, err := p.batchOn(ctx, w, req)
 		if err == nil {
 			p.release(w)
 			if attempt > 0 {
@@ -362,7 +397,7 @@ func (p *RPCPool) Compile(ctx context.Context, req core.CompileRequest) (*core.C
 				p.stats.Failovers++
 				p.mu.Unlock()
 			}
-			return reply, nil
+			return replies, nil
 		}
 		if ctx.Err() != nil {
 			// The master cancelled mid-call: the severed transport is not
@@ -371,21 +406,25 @@ func (p *RPCPool) Compile(ctx context.Context, req core.CompileRequest) (*core.C
 			return nil, ctx.Err()
 		}
 		if !transient(err) {
-			// The worker answered deterministically (compile error, bad
-			// request): it is healthy, the request is not.
+			// The worker answered deterministically: it is healthy, the
+			// request is not.
 			p.release(w)
 			return nil, err
 		}
 		lastErr = err
 		p.penalize(w, err)
-		if attempt >= p.opts.MaxRetries {
-			return p.fallback(ctx, req, lastErr)
+		if len(req.Items) > 1 || attempt >= p.opts.MaxRetries {
+			break
 		}
 		p.mu.Lock()
 		p.stats.Retries++
 		p.mu.Unlock()
 		p.sleepBackoff(ctx, attempt+1)
 	}
+	if len(req.Items) > 1 {
+		return p.splitBatch(ctx, req, lastErr)
+	}
+	return p.fallback(ctx, req, lastErr)
 }
 
 // acquire returns the next free worker, or nil when every worker is
@@ -555,10 +594,10 @@ func (p *RPCPool) sleepBackoff(ctx context.Context, n int) {
 	}
 }
 
-// fallback compiles the request in-process — the graceful-degradation tail
-// when no remote worker is available. All fallbacks share one cache so a
-// whole module falling back parses once, like a LocalPool.
-func (p *RPCPool) fallback(ctx context.Context, req core.CompileRequest, cause error) (*core.CompileReply, error) {
+// fallback compiles a one-function unit in-process — the graceful-
+// degradation tail when no remote worker is available. All fallbacks share
+// one cache so a whole module falling back parses once, like a LocalPool.
+func (p *RPCPool) fallback(ctx context.Context, req core.BatchRequest, cause error) ([]*core.CompileReply, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -578,138 +617,14 @@ func (p *RPCPool) fallback(ctx context.Context, req core.CompileRequest, cause e
 		why = cause.Error()
 	}
 	p.stats.Warnings = append(p.stats.Warnings,
-		fmt.Sprintf("compiled s%d/#%d in-process (%s)", req.Section, req.Index, why))
+		fmt.Sprintf("compiled s%d/#%d in-process (%s)", req.Items[0].Section, req.Items[0].Index, why))
 	p.mu.Unlock()
-	return core.RunFunctionMasterWith(req, p.masterCache)
+	return core.RunBatchWith(ctx, req, p.masterCache)
 }
 
-// compileOn runs the cache-protocol dance and the Compile RPC on one
-// worker. The source is pushed at most once per (worker, module); every
-// later request carries only the content hash — the paper's workstations
-// likewise fetched the source from the shared file server rather than
-// receiving it in each message.
-func (p *RPCPool) compileOn(ctx context.Context, w *poolWorker, req core.CompileRequest) (*core.CompileReply, error) {
-	src := req.Source
-	h := req.SourceHash
-
-	// Optimistic incremental attempt: when the worker does not yet hold the
-	// source but the request carries a function hash, try hash-only before
-	// pushing anything — a warm worker (its disk tier survived a restart)
-	// answers from its object tier and the source never crosses the wire.
-	// A missing-source answer falls through to the normal push path.
-	if len(src) > 0 && !req.FuncHash.IsZero() && !w.cacheDisabled() && !w.knows(h) {
-		send := req
-		send.Source = nil
-		var reply core.CompileReply
-		switch err := p.call(ctx, w, "Worker.Compile", send, &reply); {
-		case err == nil:
-			atomic.AddInt64(&p.bytesSaved, int64(len(src)))
-			return &reply, nil
-		case !IsMissingSource(err):
-			return nil, err
-		}
-	}
-
-	// Decide whether this request can travel hash-only.
-	lean, saved := false, false
-	if len(src) > 0 && !w.cacheDisabled() {
-		if w.knows(h) {
-			lean, saved = true, true
-		} else {
-			switch err := p.push(ctx, w, h, src); {
-			case err == nil:
-				lean = true
-			case IsCacheDisabled(err):
-				w.markCacheDisabled()
-			default:
-				return nil, err
-			}
-		}
-	}
-
-	send := req
-	if lean {
-		send.Source = nil
-	}
-	var reply core.CompileReply
-	err := p.call(ctx, w, "Worker.Compile", send, &reply)
-	if lean && IsMissingSource(err) {
-		// The worker evicted the source between our push and its lookup:
-		// re-push and retry once with the full source for good measure.
-		saved = false
-		if perr := p.push(ctx, w, h, src); perr != nil && !IsCacheDisabled(perr) {
-			return nil, perr
-		}
-		reply = core.CompileReply{}
-		err = p.call(ctx, w, "Worker.Compile", req, &reply)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if saved {
-		atomic.AddInt64(&p.bytesSaved, int64(len(src)))
-	}
-	return &reply, nil
-}
-
-// CompileBatch sends a multi-function dispatch unit to one free worker in a
-// single round trip. Failover is batch-aware: a transiently failed batch is
-// split in half and the halves retried concurrently on other workers,
-// bottoming out at single functions that reuse Compile's full
-// retry/backoff/fallback path. A deterministic answer (compile error, bad
-// request) fails the batch without any retry — every worker would answer
-// the same, and replaying a poisoned batch would just spread it.
-func (p *RPCPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]*core.CompileReply, error) {
-	if req.SourceHash.IsZero() && len(req.Source) > 0 {
-		req.SourceHash = fcache.HashSource(req.Source)
-	}
-	if len(req.Items) == 0 {
-		return nil, nil
-	}
-	if len(req.Items) == 1 {
-		r, err := p.Compile(ctx, core.CompileRequest{
-			File:       req.File,
-			Source:     req.Source,
-			SourceHash: req.SourceHash,
-			Section:    req.Items[0].Section,
-			Index:      req.Items[0].Index,
-			FuncHash:   req.Items[0].FuncHash,
-			Opts:       req.Opts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return []*core.CompileReply{r}, nil
-	}
-	w := p.acquire(ctx)
-	if w == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// No worker in rotation: decompose so each function takes Compile's
-		// fallback path (shared in-process cache, one warning per function).
-		return p.splitBatch(ctx, req, nil)
-	}
-	replies, err := p.batchOn(ctx, w, req)
-	if err == nil {
-		p.release(w)
-		return replies, nil
-	}
-	if ctx.Err() != nil {
-		p.recycle(w)
-		return nil, ctx.Err()
-	}
-	if !transient(err) {
-		p.release(w)
-		return nil, err
-	}
-	p.penalize(w, err)
-	return p.splitBatch(ctx, req, err)
-}
-
-// splitBatch is the batch-failover step: halve the unit and retry both
-// halves concurrently on whatever workers remain. Recursion bottoms out at
-// singletons, which delegate to Compile.
+// splitBatch is the multi-function failover step: halve the unit and retry
+// both halves concurrently on whatever workers remain. Recursion bottoms
+// out at single functions, which retry and fall back in CompileBatch.
 func (p *RPCPool) splitBatch(ctx context.Context, req core.BatchRequest, cause error) ([]*core.CompileReply, error) {
 	p.mu.Lock()
 	p.stats.BatchSplits++
@@ -751,77 +666,74 @@ func (p *RPCPool) splitBatch(ctx context.Context, req core.BatchRequest, cause e
 }
 
 // batchOn runs the cache-protocol dance and the CompileBatch RPC on one
-// worker, mirroring compileOn: push the source at most once per (worker,
-// module), send hash-only whenever possible, re-push once on a missing-
-// source answer. A reply-count skew is returned as a plain (transport-
-// class) error so the caller's split-retry heals it.
+// worker. The source is pushed at most once per (worker, module); every
+// later request carries only the content hash — the paper's workstations
+// likewise fetched the source from the shared file server rather than
+// receiving it in each message. A missing-source answer re-pushes once. A
+// reply-count skew is returned as a plain (transport-class) error so the
+// caller's failover heals it.
 func (p *RPCPool) batchOn(ctx context.Context, w *poolWorker, req core.BatchRequest) ([]*core.CompileReply, error) {
 	src := req.Source
 	h := req.SourceHash
+	var reply BatchReply
+	sent, saved := false, false
 
-	// Optimistic incremental attempt, as in compileOn: if every item carries
-	// a function hash and the worker does not yet hold the source, a fully
-	// warm worker answers the whole batch from its object tier.
-	allHashed := len(req.Items) > 0
+	// Optimistic incremental attempt: when the worker does not yet hold the
+	// source but every item carries a function hash, try hash-only before
+	// pushing anything — a warm worker (its disk tier survived a restart)
+	// answers from its object tier and the source never crosses the wire.
+	// A missing-source answer falls through to the normal push path.
+	allHashed := true
 	for _, it := range req.Items {
-		if it.FuncHash.IsZero() {
-			allHashed = false
-			break
-		}
+		allHashed = allHashed && !it.FuncHash.IsZero()
 	}
 	if len(src) > 0 && allHashed && !w.cacheDisabled() && !w.knows(h) {
 		send := req
 		send.Source = nil
-		var reply BatchReply
 		switch err := p.call(ctx, w, "Worker.CompileBatch", send, &reply); {
 		case err == nil:
-			if len(reply.Replies) != len(req.Items) {
-				return nil, fmt.Errorf("cluster: batch skew from %s: %d replies for %d items",
-					w.addr, len(reply.Replies), len(req.Items))
-			}
-			atomic.AddInt64(&p.bytesSaved, int64(len(src)))
-			out := make([]*core.CompileReply, len(reply.Replies))
-			for i := range reply.Replies {
-				out[i] = &reply.Replies[i]
-			}
-			return out, nil
+			sent, saved = true, true
 		case !IsMissingSource(err):
 			return nil, err
 		}
 	}
 
-	lean, saved := false, false
-	if len(src) > 0 && !w.cacheDisabled() {
-		if w.knows(h) {
-			lean, saved = true, true
-		} else {
-			switch err := p.push(ctx, w, h, src); {
-			case err == nil:
-				lean = true
-			case IsCacheDisabled(err):
-				w.markCacheDisabled()
-			default:
-				return nil, err
+	if !sent {
+		// Decide whether this request can travel hash-only.
+		lean := false
+		if len(src) > 0 && !w.cacheDisabled() {
+			if w.knows(h) {
+				lean, saved = true, true
+			} else {
+				switch err := p.push(ctx, w, h, src); {
+				case err == nil:
+					lean = true
+				case IsCacheDisabled(err):
+					w.markCacheDisabled()
+				default:
+					return nil, err
+				}
 			}
 		}
-	}
-
-	send := req
-	if lean {
-		send.Source = nil
-	}
-	var reply BatchReply
-	err := p.call(ctx, w, "Worker.CompileBatch", send, &reply)
-	if lean && IsMissingSource(err) {
-		saved = false
-		if perr := p.push(ctx, w, h, src); perr != nil && !IsCacheDisabled(perr) {
-			return nil, perr
+		send := req
+		if lean {
+			send.Source = nil
 		}
 		reply = BatchReply{}
-		err = p.call(ctx, w, "Worker.CompileBatch", req, &reply)
-	}
-	if err != nil {
-		return nil, err
+		err := p.call(ctx, w, "Worker.CompileBatch", send, &reply)
+		if lean && IsMissingSource(err) {
+			// The worker evicted the source between our push and its lookup:
+			// re-push and retry once with the full source for good measure.
+			saved = false
+			if perr := p.push(ctx, w, h, src); perr != nil && !IsCacheDisabled(perr) {
+				return nil, perr
+			}
+			reply = BatchReply{}
+			err = p.call(ctx, w, "Worker.CompileBatch", req, &reply)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	if len(reply.Replies) != len(req.Items) {
 		return nil, fmt.Errorf("cluster: batch skew from %s: %d replies for %d items",
@@ -901,7 +813,6 @@ func (p *RPCPool) Close() {
 }
 
 var _ core.Backend = (*RPCPool)(nil)
-var _ core.BatchBackend = (*RPCPool)(nil)
 var _ core.CacheProvider = (*RPCPool)(nil)
 var _ core.CacheStatser = (*RPCPool)(nil)
 var _ core.FaultStatser = (*RPCPool)(nil)

@@ -15,9 +15,12 @@ import (
 )
 
 // localBackend is a minimal in-package backend (the real pools live in
-// internal/cluster; this avoids an import cycle in tests).
+// internal/cluster; this avoids an import cycle in tests). It counts the
+// calls it serves.
 type localBackend struct {
-	sem chan struct{}
+	sem   chan struct{}
+	mu    sync.Mutex
+	calls int
 }
 
 func newLocalBackend(n int) *localBackend {
@@ -26,14 +29,51 @@ func newLocalBackend(n int) *localBackend {
 
 func (b *localBackend) Workers() int { return cap(b.sem) }
 
-func (b *localBackend) Compile(ctx context.Context, req CompileRequest) (*CompileReply, error) {
+func (b *localBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
 	select {
 	case b.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	defer func() { <-b.sem }()
-	return RunFunctionMaster(req)
+	b.mu.Lock()
+	b.calls++
+	b.mu.Unlock()
+	return RunBatchWith(ctx, req, nil)
+}
+
+// batchlessBackend does not batch: it serves each function of a unit as its
+// own one-function call on the inner backend, so the functions of one unit
+// take a slot each instead of sharing one. Output must not depend on it.
+type batchlessBackend struct{ *localBackend }
+
+func (b batchlessBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
+	replies := make([]*CompileReply, len(req.Items))
+	for i, it := range req.Items {
+		r, err := CompileOne(ctx, b.localBackend, CompileRequest{
+			File:       req.File,
+			Source:     req.Source,
+			SourceHash: req.SourceHash,
+			Section:    it.Section,
+			Index:      it.Index,
+			FuncHash:   it.FuncHash,
+			Opts:       req.Opts,
+		})
+		if err != nil {
+			return nil, err
+		}
+		replies[i] = r
+	}
+	return replies, nil
+}
+
+// backendRows are the backends every parity table runs on.
+var backendRows = []struct {
+	name string
+	mk   func(workers int) Backend
+}{
+	{"batch-capable", func(w int) Backend { return newLocalBackend(w) }},
+	{"batch-less", func(w int) Backend { return batchlessBackend{newLocalBackend(w)} }},
 }
 
 // checkMatchesSequential is the one parity bar: the download module and the
@@ -118,9 +158,9 @@ section 1 {
 
 func TestRunFunctionMaster(t *testing.T) {
 	src := wgen.SyntheticProgram(wgen.Small, 2)
-	reply, err := RunFunctionMaster(CompileRequest{
+	reply, err := RunFunctionMasterWith(CompileRequest{
 		File: "m.w2", Source: src, Section: 1, Index: 0,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +171,9 @@ func TestRunFunctionMaster(t *testing.T) {
 		t.Error("reply must carry object bytes and a CPU time")
 	}
 	// Entry function.
-	reply2, err := RunFunctionMaster(CompileRequest{
+	reply2, err := RunFunctionMasterWith(CompileRequest{
 		File: "m.w2", Source: src, Section: 1, Index: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +181,10 @@ func TestRunFunctionMaster(t *testing.T) {
 		t.Error("last function of the section must be the entry")
 	}
 	// Out-of-range index.
-	if _, err := RunFunctionMaster(CompileRequest{File: "m.w2", Source: src, Section: 1, Index: 9}); err == nil {
+	if _, err := RunFunctionMasterWith(CompileRequest{File: "m.w2", Source: src, Section: 1, Index: 9}, nil); err == nil {
 		t.Error("bad index must error")
 	}
-	if _, err := RunFunctionMaster(CompileRequest{File: "m.w2", Source: src, Section: 7, Index: 0}); err == nil {
+	if _, err := RunFunctionMasterWith(CompileRequest{File: "m.w2", Source: src, Section: 7, Index: 0}, nil); err == nil {
 		t.Error("bad section must error")
 	}
 }
@@ -190,35 +230,13 @@ func TestVerifySameOutputDetectsDifferences(t *testing.T) {
 	}
 }
 
-// batchingBackend extends localBackend with CompileBatch so tests cover the
-// BatchBackend dispatch path without importing internal/cluster.
-type batchingBackend struct {
-	*localBackend
-	batchCalls int
-	batchFuncs int
-	mu         sync.Mutex
-}
-
-func (b *batchingBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
-	select {
-	case b.localBackend.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-b.localBackend.sem }()
-	b.mu.Lock()
-	b.batchCalls++
-	b.batchFuncs += len(req.Items)
-	b.mu.Unlock()
-	return RunBatchWith(ctx, req, nil)
-}
-
 // TestParallelPoliciesMatchSequential is the dispatch parity table: every
 // dispatch policy over a module of many small functions — the paper's worst
-// case — on both a batch-capable and a batch-less backend at every worker
-// count, checking word-identical output and the planned scheduling counters.
-// FCFS is the paper's policy (singleton units, declaration order) expressed
-// as plan data on the one dispatch path.
+// case — on a backend that runs each unit in one slot and on one that serves
+// it a function at a time, at every worker count, checking word-identical
+// output, the planned scheduling counters, and that every unit is one
+// backend call. FCFS is the paper's policy (singleton units, declaration
+// order) expressed as plan data on the one dispatch path.
 func TestParallelPoliciesMatchSequential(t *testing.T) {
 	src := wgen.SmallFuncsProgram(16)
 	seq, err := compiler.CompileModule("small.w2", src, compiler.Options{})
@@ -236,14 +254,7 @@ func TestParallelPoliciesMatchSequential(t *testing.T) {
 		{"lpt-no-batch", ParallelOptions{BatchThreshold: -1}, false, 16},
 		{"lpt-huge-threshold", ParallelOptions{BatchThreshold: 1e9}, true, 0},
 	}
-	backends := []struct {
-		name string
-		mk   func(workers int) Backend
-	}{
-		{"batch-capable", func(w int) Backend { return &batchingBackend{localBackend: newLocalBackend(w)} }},
-		{"batch-less", func(w int) Backend { return newLocalBackend(w) }},
-	}
-	for _, be := range backends {
+	for _, be := range backendRows {
 		for _, tc := range cases {
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", be.name, tc.name, workers), func(t *testing.T) {
@@ -264,9 +275,17 @@ func TestParallelPoliciesMatchSequential(t *testing.T) {
 						t.Errorf("batched funcs %d inconsistent with %d batches", d.BatchedFuncs, d.Batches)
 					}
 					// Planned units map 1:1 onto backend calls unless a steal
-					// cracked a queued batch open mid-flight.
-					if bb, ok := backend.(*batchingBackend); ok && stats.Steal.BatchSplits == 0 && bb.batchCalls != d.Batches {
-						t.Errorf("backend served %d batch calls, stats say %d", bb.batchCalls, d.Batches)
+					// cracked a queued batch open mid-flight; the batch-less
+					// backend makes one inner call per function.
+					switch b := backend.(type) {
+					case *localBackend:
+						if stats.Steal.BatchSplits == 0 && b.calls != d.Units {
+							t.Errorf("backend served %d calls for %d units", b.calls, d.Units)
+						}
+					case batchlessBackend:
+						if b.calls != len(seq.Funcs) {
+							t.Errorf("batch-less backend served %d calls for %d functions", b.calls, len(seq.Funcs))
+						}
 					}
 					if stats.CompileWallTime <= 0 {
 						t.Errorf("CompileWallTime not populated: %+v", stats)

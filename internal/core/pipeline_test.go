@@ -44,9 +44,9 @@ section 1 of 1 {
 	}
 }
 
-// gateBackend blocks its first Compile call until the request's ctx is
-// cancelled (signalling entry on the way in), making mid-stream
-// cancellation deterministic; every other call delegates.
+// gateBackend blocks its first call until the request's ctx is cancelled
+// (signalling entry on the way in), making mid-stream cancellation
+// deterministic; every other call delegates.
 type gateBackend struct {
 	*localBackend
 	entered chan struct{}
@@ -54,7 +54,7 @@ type gateBackend struct {
 	once    bool
 }
 
-func (b *gateBackend) Compile(ctx context.Context, req CompileRequest) (*CompileReply, error) {
+func (b *gateBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
 	first := false
 	b.mu.Lock()
 	if !b.once {
@@ -66,7 +66,7 @@ func (b *gateBackend) Compile(ctx context.Context, req CompileRequest) (*Compile
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return b.localBackend.Compile(ctx, req)
+	return b.localBackend.CompileBatch(ctx, req)
 }
 
 // TestCallerCancellationSeversFleet cancels the caller's ctx while a

@@ -121,46 +121,22 @@ func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcac
 	}
 	res.PlanTime = time.Since(t0)
 
-	batcher, canBatch := backend.(BatchBackend)
+	// Every unit — one function or many — is one backend call.
 	dispatch := func(u sched.Unit) ([]*CompileReply, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if u.IsBatch() && canBatch {
-			items := make([]BatchItem, len(u.Tasks))
-			for i, t := range u.Tasks {
-				items[i] = BatchItem{Section: t.Section, Index: t.Index, FuncHash: fcache.FuncHash(so.Functions[t.Index].Hash)}
-			}
-			return batcher.CompileBatch(ctx, BatchRequest{
-				File:       file,
-				Source:     src,
-				SourceHash: srcHash,
-				Items:      items,
-				Opts:       opts,
-			})
-		}
-		// A multi-function unit on a batch-less backend still occupies one
-		// processor at a time: its functions run serially in this goroutine.
-		replies := make([]*CompileReply, len(u.Tasks))
+		items := make([]BatchItem, len(u.Tasks))
 		for i, t := range u.Tasks {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := backend.Compile(ctx, CompileRequest{
-				File:       file,
-				Source:     src,
-				SourceHash: srcHash,
-				Section:    t.Section,
-				Index:      t.Index,
-				FuncHash:   fcache.FuncHash(so.Functions[t.Index].Hash),
-				Opts:       opts,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("function %s: %w", t.Name, err)
-			}
-			replies[i] = r
+			items[i] = BatchItem{Section: t.Section, Index: t.Index, FuncHash: fcache.FuncHash(so.Functions[t.Index].Hash)}
 		}
-		return replies, nil
+		return backend.CompileBatch(ctx, BatchRequest{
+			File:       file,
+			Source:     src,
+			SourceHash: srcHash,
+			Items:      items,
+			Opts:       opts,
+		})
 	}
 
 	// The channel is buffered to len(tasks) so deliveries never block on

@@ -15,8 +15,9 @@ import (
 // TestStealParityMatchesSequential is the stealer's parity suite on the
 // workloads that provoke steals and splits (skewed sections, batches of
 // small functions): output and warnings must be word-identical to the
-// sequential compiler at every worker count, on both a batch-capable and a
-// batch-less backend — steals and splits reorder execution, never emission.
+// sequential compiler at every worker count, on a backend that runs each
+// unit in one slot and on one that serves it a function at a time — steals
+// and splits reorder execution, never emission.
 func TestStealParityMatchesSequential(t *testing.T) {
 	programs := []struct {
 		name string
@@ -25,19 +26,12 @@ func TestStealParityMatchesSequential(t *testing.T) {
 		{"skewed", wgen.SkewedProgram(3, 6)},
 		{"small-funcs", wgen.SmallFuncsProgram(12)},
 	}
-	backends := []struct {
-		name string
-		mk   func(workers int) Backend
-	}{
-		{"batch-capable", func(w int) Backend { return &batchingBackend{localBackend: newLocalBackend(w)} }},
-		{"batch-less", func(w int) Backend { return newLocalBackend(w) }},
-	}
 	for _, p := range programs {
 		seq, err := compiler.CompileModule("m.w2", p.src, compiler.Options{})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", p.name, err)
 		}
-		for _, be := range backends {
+		for _, be := range backendRows {
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(p.name+"/"+be.name+"/w"+string(rune('0'+workers)), func(t *testing.T) {
 					par, stats, err := ParallelCompileWith("m.w2", p.src, be.mk(workers),
@@ -64,14 +58,14 @@ type cachingBackend struct {
 
 func (b *cachingBackend) Cache() *fcache.Cache { return b.cache }
 
-func (b *cachingBackend) Compile(ctx context.Context, req CompileRequest) (*CompileReply, error) {
+func (b *cachingBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
 	select {
 	case b.sem <- struct{}{}:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 	defer func() { <-b.sem }()
-	return RunFunctionMasterWith(req, b.cache)
+	return RunBatchWith(ctx, req, b.cache)
 }
 
 func newCachingBackend(t *testing.T, workers int) *cachingBackend {

@@ -56,10 +56,12 @@ type BatchItem struct {
 	FuncHash fcache.FuncHash
 }
 
-// BatchRequest asks one worker to compile several functions of the same
-// module in a single round trip, amortizing the per-request overhead that
-// dominates small functions (the paper's headline negative result: up to
-// 70% of elapsed time). Source/SourceHash follow CompileRequest's rules.
+// BatchRequest is the one compile operation: it asks one worker to compile
+// one or more functions of the same module in a single round trip. A batch
+// of many amortizes the per-request overhead that dominates small functions
+// (the paper's headline negative result: up to 70% of elapsed time); one
+// function is a batch of one. Source/SourceHash follow CompileRequest's
+// rules.
 type BatchRequest struct {
 	File       string
 	Source     []byte
@@ -68,24 +70,36 @@ type BatchRequest struct {
 	Opts       compiler.Options
 }
 
-// BatchBackend is implemented by backends that can run a multi-function
-// dispatch unit in one request. Replies are returned aligned with
-// req.Items: reply i answers item i. Cancelling ctx abandons the batch;
-// partially completed work is discarded.
-type BatchBackend interface {
-	CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error)
-}
-
-// Backend runs compile requests on some processor. Implementations must be
-// safe for concurrent use; Compile blocks until a processor is free
-// (first-come-first-served, as in the paper). Cancelling ctx severs the
-// request — including any in-flight RPC — and returns ctx.Err() (possibly
-// wrapped): the master uses this to stop the whole fleet the moment one
-// section fails, instead of waiting out the barrier.
+// Backend runs dispatch units on some processor. Implementations must be
+// safe for concurrent use; CompileBatch blocks until a processor is free
+// (first-come-first-served, as in the paper), and the whole unit occupies
+// that processor. Replies align with req.Items: reply i answers item i.
+// Cancelling ctx severs the request — including any in-flight RPC — and
+// returns ctx.Err() (possibly wrapped), discarding partial work: the master
+// uses this to stop the whole fleet the moment one section fails, instead
+// of waiting out the barrier.
 type Backend interface {
-	Compile(ctx context.Context, req CompileRequest) (*CompileReply, error)
+	CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error)
 	// Workers returns the number of processors behind the backend.
 	Workers() int
+}
+
+// CompileOne runs a single function on b as a batch of one.
+func CompileOne(ctx context.Context, b Backend, req CompileRequest) (*CompileReply, error) {
+	replies, err := b.CompileBatch(ctx, BatchRequest{
+		File:       req.File,
+		Source:     req.Source,
+		SourceHash: req.SourceHash,
+		Items:      []BatchItem{{Section: req.Section, Index: req.Index, FuncHash: req.FuncHash}},
+		Opts:       req.Opts,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(replies) != 1 {
+		return nil, fmt.Errorf("dispatch skew: %d replies for one function", len(replies))
+	}
+	return replies[0], nil
 }
 
 // CacheProvider is implemented by backends whose workers share an artifact
@@ -188,13 +202,6 @@ func SnapshotBackendStats(b Backend) BackendStatsSnapshot {
 	return snap
 }
 
-// RunFunctionMaster executes one compile request in the current process,
-// re-deriving everything from source — the uncached behavior of the paper's
-// function masters, which share only the file system.
-func RunFunctionMaster(req CompileRequest) (*CompileReply, error) {
-	return RunFunctionMasterWith(req, nil)
-}
-
 // ReplyFromEntry builds the function master's reply from a cached object
 // entry. hit marks replies answered from cache without running any phase.
 func ReplyFromEntry(e *fcache.ObjectEntry, cpu time.Duration, hit bool) *CompileReply {
@@ -212,9 +219,10 @@ func ReplyFromEntry(e *fcache.ObjectEntry, cpu time.Duration, hit bool) *Compile
 
 // RunFunctionMasterWith executes one compile request using cache for the
 // shared immutable artifacts (checked frontend, per-function lowered IR,
-// finished objects). With a nil cache it re-derives everything from source.
-// Backends call it on their workers; cmd/warpworker exposes it over RPC with
-// a per-process cache. A request whose FuncHash finds a finished artifact in
+// finished objects). With a nil cache it re-derives everything from source —
+// the uncached behavior of the paper's function masters, which share only
+// the file system. RunBatchWith calls it once per batch item. A request
+// whose FuncHash finds a finished artifact in
 // the object tier is answered without touching the source — the incremental
 // fast path.
 func RunFunctionMasterWith(req CompileRequest, cache *fcache.Cache) (*CompileReply, error) {
@@ -248,8 +256,10 @@ func RunFunctionMasterWith(req CompileRequest, cache *fcache.Cache) (*CompileRep
 }
 
 // RunBatchWith executes every item of a batch request in the current
-// process, sequentially — one worker serving a whole dispatch unit. Replies
-// align with req.Items. The frontend runs (or is fetched from cache) once
+// process, sequentially — one worker serving a whole dispatch unit. Backends
+// call it on their workers; cmd/warpworker exposes it over RPC with a
+// per-process cache. Replies align with req.Items. The frontend runs (or is
+// fetched from cache) once
 // for the whole batch, so even uncached workers amortize phase 1. A
 // cancelled ctx stops between items; the item already running completes
 // (phases 2+3 are not preemptible in-process).

@@ -62,10 +62,10 @@ func dialT(t *testing.T, addr string) *Client {
 	return cl
 }
 
-// gatedBackend wraps a backend so its first Compile blocks until the test
-// releases it — pinning jobs "in flight" deterministically. Wrapping hides
-// the pool's optional interfaces (cache, batching), which only narrows
-// the paths under test.
+// gatedBackend wraps a backend so its calls block until the test releases
+// them — pinning jobs "in flight" deterministically. Wrapping hides the
+// pool's optional interfaces (cache, stats), which only narrows the paths
+// under test.
 type gatedBackend struct {
 	core.Backend
 	release chan struct{}
@@ -81,14 +81,14 @@ func newGatedBackend(inner core.Backend) *gatedBackend {
 	}
 }
 
-func (g *gatedBackend) Compile(ctx context.Context, req core.CompileRequest) (*core.CompileReply, error) {
+func (g *gatedBackend) CompileBatch(ctx context.Context, req core.BatchRequest) ([]*core.CompileReply, error) {
 	g.once.Do(func() { close(g.started) })
 	select {
 	case <-g.release:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return g.Backend.Compile(ctx, req)
+	return g.Backend.CompileBatch(ctx, req)
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -327,6 +327,9 @@ func TestDaemonDrain(t *testing.T) {
 		acceptedRes <- err
 	}()
 	<-gate.started
+	// The late connection must be accepted before the drain closes the
+	// listener: one still in the kernel's accept queue is reset, not refused.
+	waitFor(t, "daemon to accept both clients", func() bool { return d.snapshotStats().Clients == 2 })
 
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- d.Shutdown(10 * time.Second) }()

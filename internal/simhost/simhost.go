@@ -94,10 +94,10 @@ func (c *cluster) transfer(p *des.Proc, mb float64) float64 {
 	return p.Now() - start
 }
 
-// compileOn simulates phases 2+3 of one function on a dedicated node,
+// compileFunc simulates phases 2+3 of one function on a dedicated node,
 // interleaving CPU with paging traffic so that concurrent masters contend
 // realistically on the shared media. Returns (cpuSec, swapWallSec, gcSec).
-func (c *cluster) compileOn(p *des.Proc, fo parser.FuncOutline, contextLines int, retainedMB float64) (float64, float64, float64) {
+func (c *cluster) compileFunc(p *des.Proc, fo parser.FuncOutline, contextLines int, retainedMB float64) (float64, float64, float64) {
 	pm := c.pm
 	cpu := pm.CompileSec(fo.Lines, fo.LoopDepth)
 	ws := pm.WorkingSetMB(fo.Lines, contextLines, retainedMB)
@@ -140,7 +140,7 @@ func (c *cluster) seqRecipe(p *des.Proc, o *parser.Outline, out *SeqTimes) {
 	// heap, eventually paging against the node's memory.
 	retained := 0.0
 	for _, fo := range o.AllFunctions() {
-		cpu, swapWall, gc := c.compileOn(p, fo, total, retained)
+		cpu, swapWall, gc := c.compileFunc(p, fo, total, retained)
 		out.CPU += cpu + gc
 		out.SwapSec += swapWall
 		out.GCSec += gc
@@ -403,7 +403,7 @@ func (c *cluster) runFunctionMaster(p *des.Proc, fos []parser.FuncOutline, total
 	cpuTotal := pm.LispStartupSec + parse
 	retained := 0.0
 	for _, fo := range fos {
-		cpu, swapWall, gc := c.compileOn(p, fo, groupLines, retained)
+		cpu, swapWall, gc := c.compileFunc(p, fo, groupLines, retained)
 		out.SwapSec += swapWall
 		out.GCSec += gc
 		cpuTotal += cpu + gc
