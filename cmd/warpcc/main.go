@@ -17,6 +17,7 @@
 //	-sched fcfs|lpt       dispatch ordering (default lpt: cost-model + batching)
 //	-batch-threshold C    estimated-cost cutoff for batching (0 disables)
 //	-fe-workers N         parallel-frontend worker bound (0 = GOMAXPROCS, 1 = serial)
+//	-cache-dir DIR        disk-backed object cache for par/rpc modes
 //	-peers a,b            peer-cache addresses to fetch finished objects from
 //	-call-timeout D       per-RPC deadline for -mode rpc (0 disables)
 //	-max-retries N        failover attempts per request for -mode rpc
@@ -71,7 +72,6 @@ func main() {
 		verify        = flag.Bool("verify", false, "verify parallel output against sequential")
 		noPipeline    = flag.Bool("no-pipeline", false, "disable software pipelining")
 		noSched       = flag.Bool("no-sched", false, "disable instruction scheduling")
-		noCache       = flag.Bool("no-cache", false, "disable the artifact cache in -mode par")
 		cacheDir      = flag.String("cache-dir", "", "disk-backed object cache directory for par/rpc modes (persists across runs; overrides WARP_CACHE_DIR)")
 		peersCSV      = flag.String("peers", "", "comma-separated peer-cache addresses (workers or daemons) to batch-prefetch finished objects from before dispatch")
 		showStats     = flag.Bool("stats", false, "print per-function statistics")
@@ -144,25 +144,17 @@ func main() {
 	case *mode == "seq":
 		res, err = compiler.CompileModule(file, src, opts)
 	case *mode == "par":
-		var pool *cluster.LocalPool
-		if *noCache {
-			if *cacheDir != "" {
-				fatal(fmt.Errorf("-no-cache and -cache-dir are mutually exclusive"))
+		pool := cluster.NewLocalPool(*jobs)
+		if *cacheDir != "" {
+			if derr := pool.Cache().AttachDisk(*cacheDir, 0); derr != nil {
+				fatal(fmt.Errorf("opening -cache-dir %s: %w", *cacheDir, derr))
 			}
-			pool = cluster.NewLocalPoolWith(*jobs, nil)
-		} else {
-			pool = cluster.NewLocalPool(*jobs)
-			if *cacheDir != "" {
-				if derr := pool.Cache().AttachDisk(*cacheDir, 0); derr != nil {
-					fatal(fmt.Errorf("opening -cache-dir %s: %w", *cacheDir, derr))
-				}
-			}
-			if len(peerAddrs) > 0 {
-				pc := peercache.New(peercache.ClientOptions{})
-				pc.Connect(peerAddrs...)
-				defer pc.Close()
-				pool.Cache().AttachPeers(pc)
-			}
+		}
+		if len(peerAddrs) > 0 {
+			pc := peercache.New(peercache.ClientOptions{})
+			pc.Connect(peerAddrs...)
+			defer pc.Close()
+			pool.Cache().AttachPeers(pc)
 		}
 		res, pstats, err = core.ParallelCompileWith(file, src, pool, opts, copts)
 	case *mode == "rpc":

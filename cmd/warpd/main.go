@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/fcache"
 	"repro/internal/peercache"
 	"repro/internal/service"
 )
@@ -72,7 +71,6 @@ func main() {
 	flag.Parse()
 
 	var backend core.Backend
-	var cache *fcache.Cache
 	if *workers != "" {
 		popts := cluster.FlagPoolOptions(*callTimeout, *maxRetries, *dialRetry)
 		popts.CacheDir = *cacheDir
@@ -86,7 +84,6 @@ func main() {
 				pool.Healthy(), pool.Workers())
 		}
 		backend = pool
-		cache = pool.Cache()
 	} else {
 		pool := cluster.NewLocalPool(*jobs)
 		if *cacheDir != "" {
@@ -95,8 +92,8 @@ func main() {
 			}
 		}
 		backend = pool
-		cache = pool.Cache()
 	}
+	cache := backend.Cache()
 
 	// Peer federation: serve this daemon's cache to the fleet and/or fetch
 	// from siblings. The served address doubles as our gossip identity.

@@ -4,11 +4,12 @@
 // rest queue FCFS, so a burst of batch RPCs cannot oversubscribe the host —
 // net/rpc otherwise spawns an unbounded goroutine per request. -jobs 1
 // reproduces the single-CPU SUN workstations of the measured system. It
-// keeps a per-process content-addressed artifact cache so repeated requests
-// against the same module source skip parsing, checking, and lowering, and
-// masters can send a 32-byte hash instead of the whole source.
+// keeps a per-process content-addressed artifact cache (-cache-mb MiB, 0 =
+// the default budget) so repeated requests against the same module source
+// skip parsing, checking, and lowering, and masters can send a 32-byte hash
+// instead of the whole source. The cache cannot be turned off.
 //
-// Every cached worker also serves the peer-cache protocol on its listener
+// Every worker also serves the peer-cache protocol on its listener
 // ("who has hash H?" / "fetch H" — internal/peercache), so its address
 // doubles as a peer address. With -peers naming sibling workers or daemons,
 // the worker fetches finished objects from the fleet before recompiling:
@@ -41,21 +42,22 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7411", "listen address")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent compiles; excess requests queue (1 = the paper's single-CPU workstation)")
-	cacheMB := flag.Int64("cache-mb", 0, "artifact cache budget in MiB (0 = default, negative = disable caching)")
+	cacheMB := flag.Int64("cache-mb", 0, "artifact cache budget in MiB (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persistent object cache directory (survives restarts; overrides WARP_CACHE_DIR)")
 	peers := flag.String("peers", "", "comma-separated peer addresses (other workers/daemons) to fetch finished objects from before recompiling")
 	grace := flag.Duration("grace", 10*time.Second, "drain period for in-flight compiles on SIGINT/SIGTERM")
 	flag.Parse()
-
-	cacheBytes := *cacheMB << 20
 	if *cacheMB < 0 {
-		cacheBytes = -1
+		fmt.Fprintf(os.Stderr, "warpworker: -cache-mb %d: the cache budget cannot be negative (the cache cannot be disabled)\n", *cacheMB)
+		flag.Usage()
+		os.Exit(2)
 	}
+
 	var peerAddrs []string
 	if *peers != "" {
 		peerAddrs = strings.Split(*peers, ",")
 	}
-	srv, err := cluster.NewWorkerServerPeers(*addr, cacheBytes, *cacheDir, *jobs, peerAddrs)
+	srv, err := cluster.NewWorkerServerPeers(*addr, *cacheMB<<20, *cacheDir, *jobs, peerAddrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "warpworker:", err)
 		os.Exit(1)

@@ -161,29 +161,6 @@ func TestWorkerKilledMidCompile(t *testing.T) {
 	}
 }
 
-// TestUncachedWorkerFallback: a worker running with caching disabled must
-// still serve a caching pool — the pool falls back to sending full source.
-func TestUncachedWorkerFallback(t *testing.T) {
-	// An ambient disk cache (CI sets WARP_CACHE_DIR) would short-circuit the
-	// master and leave the full-source fallback path untested.
-	t.Setenv(fcache.EnvCacheDir, "")
-	ln, addr, err := ServeWorkerWith("127.0.0.1:0", -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	pool, err := DialPool([]string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	verifyAgainstSequential(t, "user.w2", wgen.UserProgram(), pool)
-	if s := pool.CacheStats(); s.RPCBytesSaved != 0 {
-		t.Errorf("bytes marked saved against an uncached worker: %s", s)
-	}
-}
-
 // TestStoreSourceVerifiesHash: a worker must reject a source push whose
 // content does not match its claimed address.
 func TestStoreSourceVerifiesHash(t *testing.T) {

@@ -26,14 +26,14 @@ const (
 	ClientHang
 )
 
-// ClientFault is one scripted client behavior.
+// ClientFault is one client behavior.
 type ClientFault struct {
 	Kind ClientKind
 	D    time.Duration
 }
 
-// ClientRandom configures the seeded-random tail of a client plan; at most
-// one misbehavior fires per job (checked in the order disconnect, hang).
+// ClientRandom configures a client plan's draws; at most one misbehavior
+// fires per job (checked in the order disconnect, hang).
 type ClientRandom struct {
 	DisconnectProb float64
 	Disconnect     time.Duration
@@ -41,21 +41,14 @@ type ClientRandom struct {
 	Hang           time.Duration
 }
 
-// ClientPlan decides the behavior of each submitted job. Safe for
-// concurrent use; behaviors apply in global arrival order, like Plan.
+// ClientPlan decides the behavior of each submitted job by a seeded draw;
+// ClientSeeded builds one. Safe for concurrent use; behaviors apply in
+// global arrival order, like Plan.
 type ClientPlan struct {
 	mu     sync.Mutex
-	script []ClientFault
-	next   int
 	rng    *rand.Rand
 	random ClientRandom
 	calls  int
-}
-
-// ClientScript returns a plan applying the given behaviors to the first
-// len jobs in order, then completing everything normally.
-func ClientScript(faults ...ClientFault) *ClientPlan {
-	return &ClientPlan{script: faults}
 }
 
 // ClientSeeded returns a plan drawing behaviors from cfg with a
@@ -76,18 +69,11 @@ func (p *ClientPlan) Take() ClientFault {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.calls++
-	if p.next < len(p.script) {
-		f := p.script[p.next]
-		p.next++
-		return f
-	}
-	if p.rng != nil {
-		switch draw := p.rng.Float64(); {
-		case draw < p.random.DisconnectProb:
-			return ClientFault{Kind: ClientDisconnect, D: p.random.Disconnect}
-		case draw < p.random.DisconnectProb+p.random.HangProb:
-			return ClientFault{Kind: ClientHang, D: p.random.Hang}
-		}
+	switch draw := p.rng.Float64(); {
+	case draw < p.random.DisconnectProb:
+		return ClientFault{Kind: ClientDisconnect, D: p.random.Disconnect}
+	case draw < p.random.DisconnectProb+p.random.HangProb:
+		return ClientFault{Kind: ClientHang, D: p.random.Hang}
 	}
 	return ClientFault{Kind: ClientComplete}
 }

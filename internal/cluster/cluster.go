@@ -62,8 +62,8 @@ func NewLocalPool(n int) *LocalPool {
 	return NewLocalPoolWith(n, fcache.NewEnv(fcache.DefaultMaxBytes))
 }
 
-// NewLocalPoolWith returns a pool of n workers using the given cache. A nil
-// cache yields the paper's original re-derive-everything workers.
+// NewLocalPoolWith returns a pool of n workers sharing the given cache,
+// which must be non-nil.
 func NewLocalPoolWith(n int, cache *fcache.Cache) *LocalPool {
 	if n < 1 {
 		n = 1
@@ -74,8 +74,8 @@ func NewLocalPoolWith(n int, cache *fcache.Cache) *LocalPool {
 // Workers returns the pool size.
 func (p *LocalPool) Workers() int { return p.n }
 
-// Cache exposes the shared cache (nil when uncached) so the master can warm
-// the frontend tier during its own phase 1.
+// Cache exposes the shared cache so the master can warm the frontend tier
+// during its own phase 1.
 func (p *LocalPool) Cache() *fcache.Cache { return p.cache }
 
 // CacheStats reports the shared cache's counters.
@@ -133,9 +133,9 @@ type Worker struct {
 }
 
 // NewWorker returns a worker with a cache bounded to cacheBytes
-// (cacheBytes < 0 disables caching; 0 selects the default budget) that runs
-// one compile at a time. The WARP_CACHE_DIR environment variable attaches a
-// disk-backed object tier, so a restarted worker starts warm.
+// (cacheBytes < 1 selects the default budget) that runs one compile at a
+// time. The WARP_CACHE_DIR environment variable attaches a disk-backed
+// object tier, so a restarted worker starts warm.
 func NewWorker(cacheBytes int64) *Worker {
 	return NewWorkerJobs(cacheBytes, 1)
 }
@@ -146,11 +146,7 @@ func NewWorkerJobs(cacheBytes int64, jobs int) *Worker {
 	if jobs < 1 {
 		jobs = 1
 	}
-	w := &Worker{sem: make(chan struct{}, jobs)}
-	if cacheBytes >= 0 {
-		w.cache = fcache.NewEnv(cacheBytes)
-	}
-	return w
+	return &Worker{sem: make(chan struct{}, jobs), cache: fcache.NewEnv(cacheBytes)}
 }
 
 // Jobs returns the concurrent-compile bound.
@@ -282,9 +278,6 @@ func (w *Worker) batchFromCache(req *core.BatchRequest) (replies []core.CompileR
 // content. The hash is verified so a corrupted or misaddressed blob can
 // never poison the cache.
 func (w *Worker) StoreSource(blob SourceBlob, ok *bool) error {
-	if w.cache == nil {
-		return codeErr(CodeCacheDisabled, "worker: caching disabled")
-	}
 	if got := fcache.HashSource(blob.Source); got != blob.Hash {
 		return codeErr(CodeBadRequest, "worker: source blob hash mismatch: got %s, want %s", got, blob.Hash)
 	}
@@ -353,7 +346,7 @@ func (l *workerListener) Close() error {
 
 // WorkerServer is a serving worker with a lifecycle: Close kills it the way
 // a workstation crash would, Shutdown drains it the way an operator's
-// SIGTERM should. Every cached worker also answers the peer-cache protocol
+// SIGTERM should. Every worker also answers the peer-cache protocol
 // ("Peer" service, internal/peercache) on the same listener, so its address
 // doubles as its peer address; workers started with peer addresses
 // additionally fetch from those siblings before recompiling.
@@ -366,8 +359,8 @@ type WorkerServer struct {
 }
 
 // NewWorkerServer listens on addr (e.g. "127.0.0.1:0") and serves compile
-// requests with a cache bounded to cacheBytes (0 selects the default;
-// negative disables caching) until closed or shut down.
+// requests with a cache bounded to cacheBytes (< 1 selects the default)
+// until closed or shut down.
 func NewWorkerServer(addr string, cacheBytes int64) (*WorkerServer, error) {
 	return serveWorkerPeers(addr, NewWorker(cacheBytes), nil)
 }
@@ -392,9 +385,6 @@ func NewWorkerServerDir(addr string, cacheBytes int64, dir string) (*WorkerServe
 func NewWorkerServerPeers(addr string, cacheBytes int64, dir string, jobs int, peers []string) (*WorkerServer, error) {
 	w := NewWorkerJobs(cacheBytes, jobs)
 	if dir != "" {
-		if w.cache == nil {
-			return nil, codeErr(CodeCacheDisabled, "worker: -cache-dir requires caching enabled")
-		}
 		if err := w.cache.AttachDisk(dir, 0); err != nil {
 			return nil, err
 		}
@@ -413,22 +403,19 @@ func serveWorkerPeers(addr string, w *Worker, peers []string) (*WorkerServer, er
 		ln.Close()
 		return nil, err
 	}
-	ws := &WorkerServer{worker: w, addr: bound}
-	if w.cache != nil {
-		// The peer service shares the worker's listener: the worker address
-		// is the peer address. It answers from local tiers only, so a fetch
-		// can never recurse back out to the fleet.
-		ws.peerSvc = peercache.NewService(w.cache, bound, nil)
-		if err := srv.RegisterName(peercache.ServiceName, ws.peerSvc); err != nil {
-			ln.Close()
-			return nil, err
-		}
-		if len(peers) > 0 {
-			ws.peerSvc.AddPeers(peers)
-			ws.peerClient = peercache.New(peercache.ClientOptions{Self: bound})
-			ws.peerClient.Connect(peers...)
-			w.cache.AttachPeers(ws.peerClient)
-		}
+	// The peer service shares the worker's listener: the worker address is
+	// the peer address. It answers from local tiers only, so a fetch can
+	// never recurse back out to the fleet.
+	ws := &WorkerServer{worker: w, addr: bound, peerSvc: peercache.NewService(w.cache, bound, nil)}
+	if err := srv.RegisterName(peercache.ServiceName, ws.peerSvc); err != nil {
+		ln.Close()
+		return nil, err
+	}
+	if len(peers) > 0 {
+		ws.peerSvc.AddPeers(peers)
+		ws.peerClient = peercache.New(peercache.ClientOptions{Self: bound})
+		ws.peerClient.Connect(peers...)
+		w.cache.AttachPeers(ws.peerClient)
 	}
 	wl := &workerListener{Listener: ln, conns: make(map[net.Conn]struct{})}
 	ws.wl = wl
@@ -468,9 +455,7 @@ func (s *WorkerServer) closePeers() {
 	if s.peerClient != nil {
 		s.peerClient.Close()
 	}
-	if s.peerSvc != nil {
-		s.peerSvc.Close()
-	}
+	s.peerSvc.Close()
 }
 
 // Shutdown stops accepting new connections, refuses new compiles, waits up
@@ -495,13 +480,7 @@ func (s *WorkerServer) Shutdown(grace time.Duration) error {
 // requests with a default-sized per-process cache until the listener is
 // closed. It returns the bound address.
 func ServeWorker(addr string) (net.Listener, string, error) {
-	return ServeWorkerWith(addr, 0)
-}
-
-// ServeWorkerWith is ServeWorker with an explicit cache budget in bytes
-// (0 selects the default; negative disables caching).
-func ServeWorkerWith(addr string, cacheBytes int64) (net.Listener, string, error) {
-	srv, err := NewWorkerServer(addr, cacheBytes)
+	srv, err := NewWorkerServer(addr, 0)
 	if err != nil {
 		return nil, "", err
 	}
@@ -509,5 +488,4 @@ func ServeWorkerWith(addr string, cacheBytes int64) (net.Listener, string, error
 }
 
 var _ core.Backend = (*LocalPool)(nil)
-var _ core.CacheProvider = (*LocalPool)(nil)
 var _ core.CacheStatser = (*LocalPool)(nil)

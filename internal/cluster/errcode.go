@@ -21,9 +21,6 @@ const (
 	// not hold (evicted or never pushed). Cache protocol: push the source
 	// and retry the same worker.
 	CodeMissingSource Code = "missing-source"
-	// CodeCacheDisabled: the worker runs without a cache and cannot accept
-	// StoreSource. Cache protocol: send this worker full source from now on.
-	CodeCacheDisabled Code = "cache-disabled"
 	// CodeBadRequest: the request itself is malformed (e.g. a source blob
 	// whose content does not match its claimed hash). Fatal.
 	CodeBadRequest Code = "bad-request"
@@ -95,9 +92,6 @@ func IsDraining(err error) bool { return CodeOf(err) == CodeDraining }
 // IsMissingSource reports whether err is a worker's source-not-resident
 // error.
 func IsMissingSource(err error) bool { return CodeOf(err) == CodeMissingSource }
-
-// IsCacheDisabled reports whether err is a worker's caching-disabled error.
-func IsCacheDisabled(err error) bool { return CodeOf(err) == CodeCacheDisabled }
 
 // ErrDeadline marks a call abandoned because its per-call deadline expired;
 // the connection is severed so the in-flight handler cannot complete later

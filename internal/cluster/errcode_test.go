@@ -12,7 +12,7 @@ import (
 )
 
 func TestCodeRoundTrip(t *testing.T) {
-	for _, c := range []Code{CodeMissingSource, CodeCacheDisabled, CodeBadRequest, CodeCompile, CodeUnavailable} {
+	for _, c := range []Code{CodeMissingSource, CodeBadRequest, CodeCompile, CodeUnavailable} {
 		err := codeErr(c, "details %d", 7)
 		if got := CodeOf(err); got != c {
 			t.Errorf("CodeOf(codeErr(%q)) = %q", c, got)
@@ -44,9 +44,6 @@ func TestSentinelHelpers(t *testing.T) {
 	if !IsMissingSource(codeErr(CodeMissingSource, "worker: source not resident for hash abc")) {
 		t.Error("IsMissingSource rejected a coded missing-source error")
 	}
-	if !IsCacheDisabled(codeErr(CodeCacheDisabled, "worker: caching disabled")) {
-		t.Error("IsCacheDisabled rejected a coded cache-disabled error")
-	}
 	if IsMissingSource(errors.New("worker: source not resident for hash abc")) {
 		t.Error("uncoded text matched IsMissingSource — substring matching is back")
 	}
@@ -77,7 +74,7 @@ func TestRetryableCodes(t *testing.T) {
 	if !CodeUnavailable.Retryable() {
 		t.Error("unavailable must be retryable")
 	}
-	for _, c := range []Code{CodeMissingSource, CodeCacheDisabled, CodeBadRequest, CodeCompile, Code("")} {
+	for _, c := range []Code{CodeMissingSource, CodeBadRequest, CodeCompile, Code("")} {
 		if c.Retryable() {
 			t.Errorf("%q must not be retryable", c)
 		}

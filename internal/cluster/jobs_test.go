@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fcache"
 	"repro/internal/wgen"
 )
 
@@ -31,8 +32,11 @@ func TestWorkerDefaultsToOneJob(t *testing.T) {
 // alongside the others: the concurrency high-water mark never exceeds N,
 // yet every compile completes.
 func TestWorkerJobsQueueNotInterleave(t *testing.T) {
+	// A fresh worker cache without an ambient disk tier: every request
+	// names a different function, so every request really compiles.
+	t.Setenv(fcache.EnvCacheDir, "")
 	const jobs = 2
-	w := NewWorkerJobs(-1, jobs) // cache disabled: every request really compiles
+	w := NewWorkerJobs(0, jobs)
 	src := wgen.SyntheticProgram(wgen.Small, jobs+1)
 
 	var wg sync.WaitGroup
@@ -62,7 +66,8 @@ func TestWorkerJobsQueueNotInterleave(t *testing.T) {
 // deterministically: with every slot held, a new compile must not start
 // until a slot is released.
 func TestWorkerJobsBlockUntilSlotFree(t *testing.T) {
-	w := NewWorkerJobs(-1, 1)
+	t.Setenv(fcache.EnvCacheDir, "")
+	w := NewWorkerJobs(0, 1)
 	release := w.acquireSlot() // occupy the only slot
 
 	src := wgen.SyntheticProgram(wgen.Tiny, 1)

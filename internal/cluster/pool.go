@@ -114,8 +114,8 @@ func FlagPoolOptions(callTimeout time.Duration, maxRetries int, dialRetry time.D
 
 // poolWorker is the pool's view of one remote workstation: its address
 // (stable across restarts), the current client (nil while quarantined), and
-// the cache-protocol state that was previously keyed by client pointer —
-// reset on every re-dial, because a restarted worker has an empty cache.
+// the sources it holds — reset on every re-dial, because a restarted worker
+// has an empty source store.
 type poolWorker struct {
 	addr string
 
@@ -124,7 +124,6 @@ type poolWorker struct {
 	fails       int // consecutive transient failures
 	quarantined bool
 	has         map[fcache.SourceHash]bool
-	noCache     bool
 }
 
 func (w *poolWorker) isQuarantined() bool {
@@ -133,14 +132,13 @@ func (w *poolWorker) isQuarantined() bool {
 	return w.quarantined
 }
 
-// setClient installs a fresh connection and resets the per-connection
-// cache-protocol state.
+// setClient installs a fresh connection and forgets which sources the
+// worker holds.
 func (w *poolWorker) setClient(c *rpc.Client) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.client = c
 	w.has = make(map[fcache.SourceHash]bool)
-	w.noCache = false
 }
 
 func (w *poolWorker) getClient() *rpc.Client {
@@ -161,18 +159,6 @@ func (w *poolWorker) markKnows(h fcache.SourceHash) {
 	if w.has != nil {
 		w.has[h] = true
 	}
-}
-
-func (w *poolWorker) cacheDisabled() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.noCache
-}
-
-func (w *poolWorker) markCacheDisabled() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.noCache = true
 }
 
 // RPCPool dispatches units to remote workers over net/rpc with FCFS
@@ -687,7 +673,7 @@ func (p *RPCPool) batchOn(ctx context.Context, w *poolWorker, req core.BatchRequ
 	for _, it := range req.Items {
 		allHashed = allHashed && !it.FuncHash.IsZero()
 	}
-	if len(src) > 0 && allHashed && !w.cacheDisabled() && !w.knows(h) {
+	if len(src) > 0 && allHashed && !w.knows(h) {
 		send := req
 		send.Source = nil
 		switch err := p.call(ctx, w, "Worker.CompileBatch", send, &reply); {
@@ -699,33 +685,26 @@ func (p *RPCPool) batchOn(ctx context.Context, w *poolWorker, req core.BatchRequ
 	}
 
 	if !sent {
-		// Decide whether this request can travel hash-only.
-		lean := false
-		if len(src) > 0 && !w.cacheDisabled() {
-			if w.knows(h) {
-				lean, saved = true, true
-			} else {
-				switch err := p.push(ctx, w, h, src); {
-				case err == nil:
-					lean = true
-				case IsCacheDisabled(err):
-					w.markCacheDisabled()
-				default:
-					return nil, err
-				}
+		// The request travels hash-only: push the source first unless the
+		// worker already holds it.
+		lean := len(src) > 0
+		switch {
+		case lean && w.knows(h):
+			saved = true
+		case lean:
+			if err := p.push(ctx, w, h, src); err != nil {
+				return nil, err
 			}
 		}
 		send := req
-		if lean {
-			send.Source = nil
-		}
+		send.Source = nil
 		reply = BatchReply{}
 		err := p.call(ctx, w, "Worker.CompileBatch", send, &reply)
 		if lean && IsMissingSource(err) {
 			// The worker evicted the source between our push and its lookup:
 			// re-push and retry once with the full source for good measure.
 			saved = false
-			if perr := p.push(ctx, w, h, src); perr != nil && !IsCacheDisabled(perr) {
+			if perr := p.push(ctx, w, h, src); perr != nil {
 				return nil, perr
 			}
 			reply = BatchReply{}
@@ -813,6 +792,5 @@ func (p *RPCPool) Close() {
 }
 
 var _ core.Backend = (*RPCPool)(nil)
-var _ core.CacheProvider = (*RPCPool)(nil)
 var _ core.CacheStatser = (*RPCPool)(nil)
 var _ core.FaultStatser = (*RPCPool)(nil)

@@ -35,9 +35,7 @@ func allocatedBy(f func()) uint64 {
 // benchmark program allocates, so that the allocation rate of a build is a
 // tested property and not only a benchmark row. A budget is the figure
 // measured on go1.24 when it was committed, plus 10%; DESIGN.md §17 ("Where
-// the bytes go") has the per-site breakdown behind the figures. The third
-// program's figure is large because the sequential compiler lowers a
-// function's whole section prefix afresh for every function.
+// the bytes go") has the per-site breakdown behind the figures.
 //
 // The same compiles feed the encoder checks: for every object, asm.Encode
 // must produce the bytes the reflective reference encoder below produces —
@@ -49,9 +47,9 @@ func TestCompileAllocationBudget(t *testing.T) {
 		src      []byte
 		measured uint64 // bytes, when the budget was committed
 	}{
-		{"mixed12", wgen.MixedProgram(12), 12_535_336},
-		{"wide12x4", wgen.WideProgram(12, 4), 21_493_136},
-		{"smallfuncs256", wgen.SmallFuncsProgram(256), 262_726_056},
+		{"mixed12", wgen.MixedProgram(12), 7_911_424},
+		{"wide12x4", wgen.WideProgram(12, 4), 20_014_272},
+		{"smallfuncs256", wgen.SmallFuncsProgram(256), 19_624_560},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			budget := tc.measured + tc.measured/10
@@ -82,6 +80,28 @@ func TestCompileAllocationBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompileModuleAllocationIsLinear: the sequential compiler lowers and
+// inlines each function once, so doubling a module's functions at most about
+// doubles what a compile allocates. A compiler that re-lowers a function's
+// section prefix for every function grows quadratically (18.5 MB at 64
+// small functions, 250 MB at 256). 256 is the largest SmallFuncsProgram
+// whose one section fits a cell's program memory.
+func TestCompileModuleAllocationIsLinear(t *testing.T) {
+	measure := func(n int) uint64 {
+		src := wgen.SmallFuncsProgram(n)
+		return allocatedBy(func() {
+			if _, err := CompileModule("small.w2", src, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	b128, b256 := measure(128), measure(256)
+	t.Logf("CompileModule: %d bytes at 128 functions, %d at 256", b128, b256)
+	if float64(b256) > 2.2*float64(b128) {
+		t.Errorf("allocated bytes grow faster than linearly: %d at 256 functions > 2.2 × %d at 128", b256, b128)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/fcache"
 	"repro/internal/parser"
 	"repro/internal/source"
@@ -11,8 +12,8 @@ import (
 )
 
 // TestDuplicateSectionRejected: sem.Check normally rejects duplicate section
-// indices, but CompileFunction must not silently pick one if handed such a
-// module (e.g. a master skipping the shared check).
+// indices, but a function compile must not silently pick one if handed such
+// a module (e.g. a master skipping the shared check).
 func TestDuplicateSectionRejected(t *testing.T) {
 	src := []byte(`
 module m
@@ -25,7 +26,7 @@ section 1 { function g() { return; } }
 		t.Fatalf("parse: %s", bag.String())
 	}
 	fn := m.Sections[0].Funcs[0]
-	_, err := CompileFunction(m, nil, fn, Options{})
+	_, _, err := CompileFunctionIncremental(fcache.New(0), &fcache.FrontendEntry{Module: m}, fn, Options{})
 	if err == nil || !strings.Contains(err.Error(), "section 1 more than once") {
 		t.Errorf("err = %v, want duplicate-section error", err)
 	}
@@ -43,7 +44,7 @@ section 1 { function f() { return; } }
 	}
 	fn := m.Sections[0].Funcs[0]
 	fn.SectionIndex = 9
-	_, err := CompileFunction(m, nil, fn, Options{})
+	_, _, err := CompileFunctionIncremental(fcache.New(0), &fcache.FrontendEntry{Module: m}, fn, Options{})
 	if err == nil || !strings.Contains(err.Error(), "unknown section 9") {
 		t.Errorf("err = %v, want unknown-section error", err)
 	}
@@ -52,8 +53,8 @@ section 1 { function f() { return; } }
 // TestCompileFunctionIncrementalMatchesUncached is the cache's correctness
 // core: for every function of a realistic multi-section program, the
 // incremental path (per-function cached IR + object entries) must emit
-// word-identical code to the uncached path, on both the cold pass (miss,
-// hit=false) and the warm pass (hit=true with no recompilation).
+// word-identical code to the share-nothing oracle, on both the cold pass
+// (miss, hit=false) and the warm pass (hit=true with no recompilation).
 func TestCompileFunctionIncrementalMatchesUncached(t *testing.T) {
 	src := wgen.UserProgram()
 	h := fcache.HashSource(src)
@@ -64,12 +65,17 @@ func TestCompileFunctionIncrementalMatchesUncached(t *testing.T) {
 	}
 	m, info := fe.Module, fe.Info
 
+	oracle := make(map[*ast.FuncDecl]*FuncResult)
 	for pass := 0; pass < 2; pass++ {
 		for _, sec := range m.Sections {
 			for _, fn := range sec.Funcs {
-				want, err := CompileFunction(m, info, fn, Options{})
-				if err != nil {
-					t.Fatalf("pass %d: CompileFunction(%s): %v", pass, fn.Name, err)
+				want := oracle[fn]
+				if want == nil {
+					var err error
+					if want, err = prefixCompileFunction(m, info, fn, Options{}); err != nil {
+						t.Fatalf("oracle(%s): %v", fn.Name, err)
+					}
+					oracle[fn] = want
 				}
 				entry, hit, err := CompileFunctionIncremental(cache, fe, fn, Options{})
 				if err != nil {
@@ -83,12 +89,12 @@ func TestCompileFunctionIncrementalMatchesUncached(t *testing.T) {
 					t.Fatalf("pass %d: %s: decode: %v", pass, fn.Name, err)
 				}
 				if len(obj.Code) != len(want.Object.Code) {
-					t.Fatalf("pass %d: %s: incremental emits %d words, uncached %d",
+					t.Fatalf("pass %d: %s: incremental emits %d words, oracle %d",
 						pass, fn.Name, len(obj.Code), len(want.Object.Code))
 				}
 				for i := range obj.Code {
 					if obj.Code[i] != want.Object.Code[i] {
-						t.Fatalf("pass %d: %s: word %d differs: incremental %v, uncached %v",
+						t.Fatalf("pass %d: %s: word %d differs: incremental %v, oracle %v",
 							pass, fn.Name, i, obj.Code[i], want.Object.Code[i])
 					}
 				}

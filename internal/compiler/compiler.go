@@ -6,9 +6,14 @@
 //	Phase 3: software pipelining and code generation  (internal/codegen)
 //	Phase 4: I/O driver generation, assembly, linking (internal/iodriver, asm, link)
 //
-// The parallel compiler (internal/core) reuses exactly these pieces: the
-// master runs Frontend once, function masters run CompileFunction for their
-// function, and the section masters combine objects for the phase-4 tail.
+// Phases 2 and 3 of a function have one implementation, shared by the
+// sequential compiler and the parallel one (internal/core): the function's
+// lowered, inlined flowgraph comes from funcIR, memoized per function hash
+// in an fcache.Cache, and finishFunction optimizes, generates and assembles
+// a private copy of it. CompileModule runs that path for every function over
+// a cache of its own; function masters run it through
+// CompileFunctionIncremental over their worker's cache, and the section
+// masters combine objects for the phase-4 tail.
 package compiler
 
 import (
@@ -97,23 +102,11 @@ func buildFrontendEntry(file string, src []byte) (*fcache.FrontendEntry, int64) 
 // FrontendEntryCached returns the cached phase-1 artifacts of src — checked
 // AST, semantic info, diagnostics, and per-function incremental hashes —
 // parsing and checking at most once per source content. h must be
-// HashSource(src). The entry is shared and must be treated as read-only. A
-// nil cache builds a fresh (uncached) entry.
+// HashSource(src). The entry is shared and must be treated as read-only.
 func FrontendEntryCached(cache *fcache.Cache, h fcache.SourceHash, file string, src []byte) *fcache.FrontendEntry {
-	if cache == nil {
-		e, _ := buildFrontendEntry(file, src)
-		return e
-	}
 	return cache.Frontend(h, func() (*fcache.FrontendEntry, int64) {
 		return buildFrontendEntry(file, src)
 	})
-}
-
-// FrontendCached is Frontend backed by the content-addressed cache; see
-// FrontendEntryCached.
-func FrontendCached(cache *fcache.Cache, h fcache.SourceHash, file string, src []byte) (*ast.Module, *sem.Info, *source.DiagBag) {
-	e := FrontendEntryCached(cache, h, file, src)
-	return e.Module, e.Info, e.Bag
 }
 
 // sectionOf resolves the section a function belongs to. It rejects modules
@@ -134,42 +127,6 @@ func sectionOf(m *ast.Module, fn *ast.FuncDecl) (*ast.Section, error) {
 		return nil, fmt.Errorf("function %s names unknown section %d", fn.Name, fn.SectionIndex)
 	}
 	return sec, nil
-}
-
-// CompileFunction runs phases 2 and 3 for one function of a checked module.
-// The function's section-local callees are lowered and inlined as part of
-// the work (each function master re-derives what it needs — the processes
-// share no memory). CompileFunctionIncremental is the variant that reuses
-// cached per-function artifacts instead of re-deriving everything.
-func CompileFunction(m *ast.Module, info *sem.Info, fn *ast.FuncDecl, opts Options) (*FuncResult, error) {
-	start := time.Now()
-	sec, err := sectionOf(m, fn)
-	if err != nil {
-		return nil, err
-	}
-
-	// Lower this function and every earlier function of its section (its
-	// potential callees), then inline in declaration order.
-	funcs := make(map[string]*ir.Func)
-	var target *ir.Func
-	for _, g := range sec.Funcs {
-		f, err := ir.Lower(g, info)
-		if err != nil {
-			return nil, fmt.Errorf("lowering %s: %w", g.Name, err)
-		}
-		if err := ir.InlineCalls(f, funcs); err != nil {
-			return nil, fmt.Errorf("inlining into %s: %w", g.Name, err)
-		}
-		funcs[g.Name] = f
-		if g == fn {
-			target = f
-			break
-		}
-	}
-	if target == nil {
-		return nil, fmt.Errorf("function %s not found in section %d", fn.Name, sec.Index)
-	}
-	return finishFunction(fn, sec, target, opts, start)
 }
 
 // funcIR returns the lowered, inlined (call-free) flowgraph of sec.Funcs[idx],
@@ -204,16 +161,27 @@ func funcIR(cache *fcache.Cache, fe *fcache.FrontendEntry, sec *ast.Section, idx
 	})
 }
 
-// CompileFunctionIncremental is CompileFunction backed by the incremental
-// cache: the finished artifact is memoized by (FuncHash, options) — the
-// whole compilation is a pure function of those inputs — and on a miss the
-// per-function lowered IR tier limits re-derivation to the edited function
-// and its callers. The returned entry carries the function master's complete
-// reply (wire-encoded object plus its full warning list), is shared, and
-// must be treated as read-only. hit reports whether the artifact came from
-// cache without running any phase. fe must be the frontend entry of the
-// module that declares fn (see FrontendEntryCached); a nil cache compiles
-// without caching.
+// compileFunction runs phases 2 and 3 for sec.Funcs[idx]: its flowgraph
+// from funcIR, then finishFunction on a private copy (the cached flowgraph
+// is shared).
+func compileFunction(cache *fcache.Cache, fe *fcache.FrontendEntry, sec *ast.Section, idx int, opts Options) (*FuncResult, error) {
+	start := time.Now()
+	target, err := funcIR(cache, fe, sec, idx)
+	if err != nil {
+		return nil, err
+	}
+	return finishFunction(sec.Funcs[idx], sec, target.Clone(), opts, start)
+}
+
+// CompileFunctionIncremental is the function master's compile: the finished
+// artifact is memoized by (FuncHash, options) — the whole compilation is a
+// pure function of those inputs — and on a miss the per-function lowered IR
+// tier limits re-derivation to the edited function and its callers. The
+// returned entry carries the function master's complete reply (wire-encoded
+// object plus its full warning list), is shared, and must be treated as
+// read-only. hit reports whether the artifact came from cache without
+// running any phase. fe must be the frontend entry of the module that
+// declares fn (see FrontendEntryCached).
 func CompileFunctionIncremental(cache *fcache.Cache, fe *fcache.FrontendEntry, fn *ast.FuncDecl, opts Options) (*fcache.ObjectEntry, bool, error) {
 	sec, err := sectionOf(fe.Module, fn)
 	if err != nil {
@@ -226,12 +194,7 @@ func CompileFunctionIncremental(cache *fcache.Cache, fe *fcache.FrontendEntry, f
 	built := false
 	entry, err := cache.Object(fe.FuncHashes[fcache.FuncKey{Section: sec.Index, Index: idx}], OptsKey(opts), func() (*fcache.ObjectEntry, error) {
 		built = true
-		target, err := funcIR(cache, fe, sec, idx)
-		if err != nil {
-			return nil, err
-		}
-		// The cached flowgraph is shared; optimization works on a deep copy.
-		fr, err := finishFunction(fn, sec, target.Clone(), opts, time.Now())
+		fr, err := compileFunction(cache, fe, sec, idx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -388,24 +351,30 @@ func finishFunction(fn *ast.FuncDecl, sec *ast.Section, target *ir.Func, opts Op
 	return res, nil
 }
 
-// CompileModule runs the complete sequential compiler on source text.
+// CompileModule runs the complete sequential compiler on source text. It
+// is the parity reference of the parallel compiler. Every function takes the
+// function masters' path (compileFunction) over a cache private to this
+// call, so each function is lowered and inlined once however many callers
+// it has. The cache is memory-only: the reference never reads a disk tier.
 func CompileModule(file string, src []byte, opts Options) (*Result, error) {
 	t0 := time.Now()
-	m, info, bag := Frontend(file, src)
-	if bag.HasErrors() {
-		return nil, fmt.Errorf("frontend errors:\n%s", bag.String())
+	fe, _ := buildFrontendEntry(file, src)
+	if fe.Bag.HasErrors() {
+		return nil, fmt.Errorf("frontend errors:\n%s", fe.Bag.String())
 	}
+	m := fe.Module
 	res := &Result{ModuleName: m.Name, FrontendTime: time.Since(t0)}
-	for _, d := range bag.All() {
+	for _, d := range fe.Bag.All() {
 		if d.Severity == source.Warn {
 			res.Warnings = append(res.Warnings, d.String())
 		}
 	}
 
 	t1 := time.Now()
+	cache := fcache.New(0)
 	for _, sec := range m.Sections {
-		for _, fn := range sec.Funcs {
-			fr, err := CompileFunction(m, info, fn, opts)
+		for idx, fn := range sec.Funcs {
+			fr, err := compileFunction(cache, fe, sec, idx, opts)
 			if err != nil {
 				return nil, fmt.Errorf("compiling %s: %w", fn.Name, err)
 			}

@@ -116,8 +116,8 @@ func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, sr
 // FrontendEntryCachedWith is FrontendEntryCached with a selectable frontend
 // implementation: on a cache miss with fopts.Parallel the entry is built by
 // FrontendParallel, so a parallel frontend fills the same tier the
-// sequential one reads (the artifacts are word-identical). Cancellation of a parallel build propagates
-// as an error to every waiter and caches nothing.
+// sequential one reads (the artifacts are word-identical). Cancellation of a
+// parallel build propagates as an error to every waiter and caches nothing.
 func FrontendEntryCachedWith(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, fopts FrontendOptions) (*fcache.FrontendEntry, error) {
 	if !fopts.Parallel {
 		return FrontendEntryCached(cache, h, file, src), nil
@@ -129,10 +129,6 @@ func FrontendEntryCachedWith(ctx context.Context, cache *fcache.Cache, h fcache.
 		}
 		e, cost := packageFrontendEntry(m, info, bag, src, fopts.Outline)
 		return e, cost, nil
-	}
-	if cache == nil {
-		e, _, err := build()
-		return e, err
 	}
 	return cache.FrontendErr(h, build)
 }

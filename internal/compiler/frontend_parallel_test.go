@@ -186,7 +186,7 @@ func TestFrontendParallelFallback(t *testing.T) {
 func TestFrontendEntryCachedWithParity(t *testing.T) {
 	src := wgen.WideProgram(12, 3)
 	h := fcache.HashSource(src)
-	seq := FrontendEntryCached(nil, h, "m.w2", src)
+	seq, _ := buildFrontendEntry("m.w2", src)
 
 	for kind, outline := range outlines(src) {
 		cache := fcache.New(1 << 20)

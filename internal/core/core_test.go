@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/compiler"
+	"repro/internal/fcache"
 	"repro/internal/parser"
 	"repro/internal/source"
 	"repro/internal/warpsim"
@@ -15,19 +16,24 @@ import (
 )
 
 // localBackend is a minimal in-package backend (the real pools live in
-// internal/cluster; this avoids an import cycle in tests). It counts the
-// calls it serves.
+// internal/cluster; this avoids an import cycle in tests). Like
+// cluster.LocalPool its workers share the master's cache — a fresh one per
+// backend, so a backend's first build compiles every function for real. It
+// counts the calls it serves.
 type localBackend struct {
 	sem   chan struct{}
+	cache *fcache.Cache
 	mu    sync.Mutex
 	calls int
 }
 
 func newLocalBackend(n int) *localBackend {
-	return &localBackend{sem: make(chan struct{}, n)}
+	return &localBackend{sem: make(chan struct{}, n), cache: fcache.New(0)}
 }
 
 func (b *localBackend) Workers() int { return cap(b.sem) }
+
+func (b *localBackend) Cache() *fcache.Cache { return b.cache }
 
 func (b *localBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
 	select {
@@ -39,7 +45,7 @@ func (b *localBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*C
 	b.mu.Lock()
 	b.calls++
 	b.mu.Unlock()
-	return RunBatchWith(ctx, req, nil)
+	return RunBatchWith(ctx, req, b.cache)
 }
 
 // batchlessBackend does not batch: it serves each function of a unit as its
@@ -158,9 +164,10 @@ section 1 {
 
 func TestRunFunctionMaster(t *testing.T) {
 	src := wgen.SyntheticProgram(wgen.Small, 2)
+	cache := fcache.New(0)
 	reply, err := RunFunctionMasterWith(CompileRequest{
 		File: "m.w2", Source: src, Section: 1, Index: 0,
-	}, nil)
+	}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +180,7 @@ func TestRunFunctionMaster(t *testing.T) {
 	// Entry function.
 	reply2, err := RunFunctionMasterWith(CompileRequest{
 		File: "m.w2", Source: src, Section: 1, Index: 1,
-	}, nil)
+	}, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,10 +188,10 @@ func TestRunFunctionMaster(t *testing.T) {
 		t.Error("last function of the section must be the entry")
 	}
 	// Out-of-range index.
-	if _, err := RunFunctionMasterWith(CompileRequest{File: "m.w2", Source: src, Section: 1, Index: 9}, nil); err == nil {
+	if _, err := RunFunctionMasterWith(CompileRequest{File: "m.w2", Source: src, Section: 1, Index: 9}, cache); err == nil {
 		t.Error("bad index must error")
 	}
-	if _, err := RunFunctionMasterWith(CompileRequest{File: "m.w2", Source: src, Section: 7, Index: 0}, nil); err == nil {
+	if _, err := RunFunctionMasterWith(CompileRequest{File: "m.w2", Source: src, Section: 7, Index: 0}, cache); err == nil {
 		t.Error("bad section must error")
 	}
 }
@@ -301,7 +308,7 @@ func TestParallelPoliciesMatchSequential(t *testing.T) {
 type skewBackend struct{ *localBackend }
 
 func (b *skewBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
-	rs, err := RunBatchWith(ctx, req, nil)
+	rs, err := RunBatchWith(ctx, req, b.cache)
 	if err != nil {
 		return nil, err
 	}

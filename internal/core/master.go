@@ -208,13 +208,10 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		return nil, stats, fmt.Errorf("master: syntax errors, compilation aborted:\n%s", outlineBag.String())
 	}
 
-	// The content address travels with every request; backends with caching
-	// workers use it to avoid re-parsing and re-sending the source.
+	// The content address travels with every request; workers use it to
+	// avoid re-parsing and re-sending the source.
 	srcHash := fcache.HashSource(src)
-	var masterCache *fcache.Cache
-	if cp, ok := backend.(CacheProvider); ok {
-		masterCache = cp.Cache()
-	}
+	masterCache := backend.Cache()
 
 	// The self-tuning cost model: fitted against the persisted sample window
 	// (empty without a disk tier — then Fit returns the static formula) and
@@ -457,7 +454,7 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	// Feed the estimator's loop: append this build's observations to the
 	// persisted window (PutCostSamples trims it and is a no-op without a
 	// disk tier). Failures are ignored — samples are a scheduling hint.
-	if len(observed) > 0 && masterCache != nil {
+	if len(observed) > 0 {
 		_ = masterCache.PutCostSamples(append(persisted, observed...))
 	}
 	if total := outline.NumFunctions(); total > 0 {

@@ -160,7 +160,7 @@ type ParallelStats struct {
 	Pipeline PipelineStats
 	// Cache reports the backend's artifact-cache counters (cumulative over
 	// the backend's lifetime, not just this compilation); zero when the
-	// backend is uncached.
+	// backend does not report them (CacheStatser).
 	Cache fcache.Stats
 	// Faults reports the backend's fault-handling counters and degraded-
 	// operation warnings (cumulative, like Cache); zero for backends

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -49,32 +48,16 @@ func TestStealParityMatchesSequential(t *testing.T) {
 	}
 }
 
-// cachingBackend is a localBackend whose workers share an artifact cache with
-// the master (like cluster.LocalPool), which switches on sample persistence.
-type cachingBackend struct {
-	*localBackend
-	cache *fcache.Cache
-}
-
-func (b *cachingBackend) Cache() *fcache.Cache { return b.cache }
-
-func (b *cachingBackend) CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error) {
-	select {
-	case b.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-b.sem }()
-	return RunBatchWith(ctx, req, b.cache)
-}
-
-func newCachingBackend(t *testing.T, workers int) *cachingBackend {
+// newCachingBackend returns a localBackend whose cache has a disk tier,
+// which switches on sample persistence.
+func newCachingBackend(t *testing.T, workers int) *localBackend {
 	t.Helper()
-	c := fcache.New(16 << 20)
-	if err := c.AttachDisk(t.TempDir(), 16<<20); err != nil {
+	b := newLocalBackend(workers)
+	b.cache = fcache.New(16 << 20)
+	if err := b.cache.AttachDisk(t.TempDir(), 16<<20); err != nil {
 		t.Fatal(err)
 	}
-	return &cachingBackend{localBackend: newLocalBackend(workers), cache: c}
+	return b
 }
 
 // TestEstimatorSamplesPersistAcrossBuilds drives the closed loop end to end:

@@ -82,6 +82,12 @@ type Backend interface {
 	CompileBatch(ctx context.Context, req BatchRequest) ([]*CompileReply, error)
 	// Workers returns the number of processors behind the backend.
 	Workers() int
+	// Cache returns the master's artifact cache (never nil): the master
+	// fills its frontend tier during its own phase 1, probes its object tier
+	// for unchanged functions before dispatch, and persists cost samples in
+	// its disk tier. A backend whose workers run in-process shares it with
+	// them (cluster.LocalPool), so no worker ever re-parses.
+	Cache() *fcache.Cache
 }
 
 // CompileOne runs a single function on b as a batch of one.
@@ -100,13 +106,6 @@ func CompileOne(ctx context.Context, b Backend, req CompileRequest) (*CompileRep
 		return nil, fmt.Errorf("dispatch skew: %d replies for one function", len(replies))
 	}
 	return replies[0], nil
-}
-
-// CacheProvider is implemented by backends whose workers share an artifact
-// cache with the master process (cluster.LocalPool). The master then warms
-// the frontend tier during its own phase 1, so no worker ever re-parses.
-type CacheProvider interface {
-	Cache() *fcache.Cache
 }
 
 // CacheStatser is implemented by backends that can report cache
@@ -217,21 +216,18 @@ func ReplyFromEntry(e *fcache.ObjectEntry, cpu time.Duration, hit bool) *Compile
 	}
 }
 
-// RunFunctionMasterWith executes one compile request using cache for the
-// shared immutable artifacts (checked frontend, per-function lowered IR,
-// finished objects). With a nil cache it re-derives everything from source —
-// the uncached behavior of the paper's function masters, which share only
-// the file system. RunBatchWith calls it once per batch item. A request
-// whose FuncHash finds a finished artifact in
-// the object tier is answered without touching the source — the incremental
-// fast path.
+// RunFunctionMasterWith executes one compile request using cache (never
+// nil) for the shared immutable artifacts (checked frontend, per-function
+// lowered IR, finished objects). RunBatchWith calls it once per batch item.
+// A request whose FuncHash finds a finished artifact in the object tier is
+// answered without touching the source — the incremental fast path.
 func RunFunctionMasterWith(req CompileRequest, cache *fcache.Cache) (*CompileReply, error) {
 	if e, ok := compiler.LookupObject(cache, req.FuncHash, req.Opts); ok {
 		return ReplyFromEntry(e, 0, true), nil
 	}
 	start := time.Now()
 	h := req.SourceHash
-	if h.IsZero() && cache != nil {
+	if h.IsZero() {
 		h = fcache.HashSource(req.Source)
 	}
 	fe := compiler.FrontendEntryCached(cache, h, req.File, req.Source)
@@ -256,13 +252,12 @@ func RunFunctionMasterWith(req CompileRequest, cache *fcache.Cache) (*CompileRep
 }
 
 // RunBatchWith executes every item of a batch request in the current
-// process, sequentially — one worker serving a whole dispatch unit. Backends
-// call it on their workers; cmd/warpworker exposes it over RPC with a
-// per-process cache. Replies align with req.Items. The frontend runs (or is
-// fetched from cache) once
-// for the whole batch, so even uncached workers amortize phase 1. A
-// cancelled ctx stops between items; the item already running completes
-// (phases 2+3 are not preemptible in-process).
+// process, sequentially, using cache (never nil) — one worker serving a
+// whole dispatch unit. Backends call it on their workers; cmd/warpworker
+// exposes it over RPC with a per-process cache. Replies align with
+// req.Items. The frontend runs (or is fetched from cache) once for the whole
+// batch. A cancelled ctx stops between items; the item already running
+// completes (phases 2+3 are not preemptible in-process).
 func RunBatchWith(ctx context.Context, req BatchRequest, cache *fcache.Cache) ([]*CompileReply, error) {
 	replies := make([]*CompileReply, len(req.Items))
 	for i, it := range req.Items {

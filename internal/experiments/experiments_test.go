@@ -248,6 +248,30 @@ func TestAbsoluteOverheadsGrow(t *testing.T) {
 	}
 }
 
+// TestFigurePointsPresent: the points cmd/benchfig's headline readers and
+// the paper's text quote exist in every figure the shape tests above do not
+// already read them from — one row per (figure, series, x).
+func TestFigurePointsPresent(t *testing.T) {
+	for _, c := range []struct {
+		fig    func(costmodel.Params) *stats.Table
+		series string
+		x      float64
+	}{
+		{Fig05Huge, "par elapsed", 8},
+		{Fig05Huge, "seq elapsed", 8},
+		{Fig07SpeedupVsSize, "8 function(s)", 280},
+		{Fig07SpeedupVsSize, "8 function(s)", 4},
+		{Fig12Small, "par elapsed", 8},
+		{Fig13Medium, "par elapsed", 8},
+		{Fig14AbsOverheadSmall, "total ovh f_tiny", 8},
+		{Fig15AbsOverheadMedium, "total ovh f_medium", 8},
+		{Fig16AbsOverheadHuge, "total ovh f_huge", 8},
+		{HeadlineSpeedup, "user program", 9},
+	} {
+		get(t, c.fig(pm()), c.series, c.x)
+	}
+}
+
 // Determinism: the DES produces identical timings on repeated runs.
 func TestMeasurementsDeterministic(t *testing.T) {
 	a := MeasureSn(wgen.Medium, 4, pm())

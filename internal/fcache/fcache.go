@@ -34,8 +34,7 @@
 // (the target ir.Func of a compilation) must be deep-copied first
 // (ir.Func.Clone).
 //
-// All methods are safe for concurrent use and tolerate a nil *Cache, which
-// degrades to the uncached re-derive-everything behavior.
+// All methods are safe for concurrent use.
 package fcache
 
 import (
@@ -291,8 +290,7 @@ func (e *ObjectEntry) Cost() int64 {
 }
 
 // Cache is a bounded content-addressed cache. The zero value is not usable;
-// call New. A nil *Cache is valid and behaves as an always-miss cache that
-// stores nothing.
+// call New.
 type Cache struct {
 	mu       sync.Mutex
 	max      int64
@@ -377,9 +375,6 @@ func (c *Cache) AttachDisk(dir string, maxBytes int64) error {
 
 // DiskDir returns the directory of the attached disk tier ("" without one).
 func (c *Cache) DiskDir() string {
-	if c == nil {
-		return ""
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.disk == nil {
@@ -393,10 +388,6 @@ func (c *Cache) DiskDir() string {
 // pure function of the source content; it is invoked at most once per key
 // even under concurrent callers. The second return is cost in bytes.
 func (c *Cache) Frontend(h SourceHash, build func() (*FrontendEntry, int64)) *FrontendEntry {
-	if c == nil {
-		e, _ := build()
-		return e
-	}
 	v, _ := c.getOrCompute("fe:"+h.String(), tierFrontend, func() (any, int64, error) {
 		e, cost := build()
 		return e, cost, nil
@@ -409,13 +400,6 @@ func (c *Cache) Frontend(h SourceHash, build func() (*FrontendEntry, int64)) *Fr
 // the error propagates to every waiting caller and nothing is cached, so a
 // later request computes the entry afresh.
 func (c *Cache) FrontendErr(h SourceHash, build func() (*FrontendEntry, int64, error)) (*FrontendEntry, error) {
-	if c == nil {
-		e, _, err := build()
-		if err != nil {
-			return nil, err
-		}
-		return e, nil
-	}
 	v, err := c.getOrCompute("fe:"+h.String(), tierFrontend, func() (any, int64, error) {
 		e, cost, err := build()
 		if err != nil {
@@ -433,9 +417,9 @@ func (c *Cache) FrontendErr(h SourceHash, build func() (*FrontendEntry, int64, e
 // whose compilation inputs hash to fh, computing it with build on a miss.
 // The returned func is shared: callers must not mutate it — deep-copy
 // (Clone) before optimizing. Build errors are returned but not cached. A
-// zero fh degrades to an uncached build.
+// zero fh builds without storing.
 func (c *Cache) FuncIR(fh FuncHash, build func() (*ir.Func, error)) (*ir.Func, error) {
-	if c == nil || fh.IsZero() {
+	if fh.IsZero() {
 		return build()
 	}
 	v, err := c.getOrCompute("ir:"+fh.String(), tierIR, func() (any, int64, error) {
@@ -458,9 +442,9 @@ func (c *Cache) FuncIR(fh FuncHash, build func() (*ir.Func, error)) (*ir.Func, e
 // builds are written through to disk, and peer fills are too (making this
 // process a holder the fleet can fetch from). The entry is shared on hit, so
 // callers must treat it as immutable. Build errors are returned but not
-// cached. A zero fh degrades to an uncached build.
+// cached. A zero fh builds without storing.
 func (c *Cache) Object(fh FuncHash, variant string, build func() (*ObjectEntry, error)) (*ObjectEntry, error) {
-	if c == nil || fh.IsZero() {
+	if fh.IsZero() {
 		return build()
 	}
 	key := objectKey(fh, variant)
@@ -492,7 +476,7 @@ func (c *Cache) Object(fh FuncHash, variant string, build func() (*ObjectEntry, 
 // ObjectHits (or DiskHits); a peek miss is not counted as a miss, keeping
 // ObjectMisses == "objects actually built".
 func (c *Cache) PeekObject(fh FuncHash, variant string) (*ObjectEntry, bool) {
-	if c == nil || fh.IsZero() {
+	if fh.IsZero() {
 		return nil, false
 	}
 	key := objectKey(fh, variant)
@@ -567,9 +551,6 @@ func (c *Cache) diskStore(key string, e *ObjectEntry) {
 // responsible for h == HashSource(src) (process boundaries verify this; see
 // cluster.Worker.StoreSource).
 func (c *Cache) PutSource(h SourceHash, src []byte) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := "src:" + h.String()
@@ -581,9 +562,6 @@ func (c *Cache) PutSource(h SourceHash, src []byte) {
 
 // Source returns the stored source for h, if resident.
 func (c *Cache) Source(h SourceHash) ([]byte, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items["src:"+h.String()]; ok {
@@ -597,9 +575,6 @@ func (c *Cache) Source(h SourceHash) ([]byte, bool) {
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
-	if c == nil {
-		return Stats{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
@@ -610,9 +585,6 @@ func (c *Cache) Stats() Stats {
 
 // Len returns the number of resident entries across all tiers.
 func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.items)

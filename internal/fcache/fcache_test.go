@@ -103,6 +103,19 @@ func TestHitMissAccounting(t *testing.T) {
 			want: Stats{SourceHits: 1, SourceMisses: 1},
 		},
 		{
+			name: "zero function hash builds without storing",
+			run: func(c *Cache) {
+				built := 0
+				build := func() (*ObjectEntry, error) { built++; return &ObjectEntry{Name: "f"}, nil }
+				c.Object(FuncHash{}, "default", build)
+				c.Object(FuncHash{}, "default", build)
+				if _, ok := c.PeekObject(FuncHash{}, "default"); ok || built != 2 || c.Len() != 0 {
+					panic("a zero hash must build on every call and store nothing")
+				}
+			},
+			want: Stats{},
+		},
+		{
 			name: "ir build errors are returned, not cached",
 			run: func(c *Cache) {
 				build := func() (*ir.Func, error) { return nil, errors.New("boom") }
@@ -255,29 +268,6 @@ func TestConcurrentErrorPropagatesToWaiters(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Error("failed computation must not be cached")
-	}
-}
-
-func TestNilCacheDegradesGracefully(t *testing.T) {
-	var c *Cache
-	h := HashSource([]byte("x"))
-	var builds int
-	e := c.Frontend(h, func() (*FrontendEntry, int64) { builds++; return &FrontendEntry{}, 1 })
-	if e == nil || builds != 1 {
-		t.Error("nil cache must pass through to the builder")
-	}
-	if _, err := c.FuncIR(fh("x"), func() (*ir.Func, error) { return &ir.Func{}, nil }); err != nil {
-		t.Error(err)
-	}
-	if _, ok := c.PeekObject(fh("x"), "default"); ok {
-		t.Error("nil cache peek must miss")
-	}
-	c.PutSource(h, []byte("x"))
-	if _, ok := c.Source(h); ok {
-		t.Error("nil cache must not store")
-	}
-	if c.Stats() != (Stats{}) || c.Len() != 0 {
-		t.Error("nil cache stats must be zero")
 	}
 }
 

@@ -38,9 +38,9 @@ type PeerView interface {
 // predicted-hot entries (PrefetchObjects), and — when a disk tier is
 // attached — eviction becomes fleet-aware: redundantly replicated entries
 // are evicted first and the last known holder of an entry keeps it until
-// the disk tier's hard byte cap. Safe to call on a nil cache (no-op).
+// the disk tier's hard byte cap. A nil p is a no-op.
 func (c *Cache) AttachPeers(p PeerView) {
-	if c == nil || p == nil {
+	if p == nil {
 		return
 	}
 	c.mu.Lock()
@@ -54,9 +54,6 @@ func (c *Cache) AttachPeers(p PeerView) {
 
 // HasPeers reports whether a peer fill tier is attached.
 func (c *Cache) HasPeers() bool {
-	if c == nil {
-		return false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peers != nil
@@ -92,7 +89,7 @@ func (c *Cache) peerLoad(key string) (*ObjectEntry, bool) {
 // through to disk, making this process a holder. It never computes
 // anything; without peers it reports a miss.
 func (c *Cache) PeerObject(fh FuncHash, variant string) (*ObjectEntry, bool) {
-	if c == nil || fh.IsZero() {
+	if fh.IsZero() {
 		return nil, false
 	}
 	key := objectKey(fh, variant)
@@ -117,9 +114,9 @@ const prefetchWorkers = 8
 // disk index) are skipped without counters; fetched entries are installed
 // in memory, written through to disk, and counted as PeerPrefetched (in
 // addition to the usual PeerHits/PeerBytes). Returns how many entries were
-// filled. A nil cache, zero hashes, or no peer tier is a no-op.
+// filled. Zero hashes, or no peer tier, are a no-op.
 func (c *Cache) PrefetchObjects(fhs []FuncHash, variant string) int {
-	if c == nil || len(fhs) == 0 || !c.HasPeers() {
+	if len(fhs) == 0 || !c.HasPeers() {
 		return 0
 	}
 	var missing []string
@@ -201,9 +198,6 @@ func (c *Cache) hasLocal(key string) bool {
 // computes anything. A hit counts as PeerServed; a miss is silent. The
 // peercache server is the only intended caller.
 func (c *Cache) LocalObject(key string) (*ObjectEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		if e, isObj := el.Value.(*entry).val.(*ObjectEntry); isObj {
@@ -231,9 +225,6 @@ func (c *Cache) LocalObject(key string) (*ObjectEntry, bool) {
 // so a freshly scanned warm directory is advertisable without reading any
 // record.
 func (c *Cache) ObjectDigests() [][sha256.Size]byte {
-	if c == nil {
-		return nil
-	}
 	seen := make(map[[sha256.Size]byte]bool)
 	c.mu.Lock()
 	for key := range c.items {
@@ -260,9 +251,6 @@ func (c *Cache) ObjectDigests() [][sha256.Size]byte {
 // piggyback it on fetch replies; a client seeing a different gen than the
 // one captured with the peer's summary knows the summary is stale.
 func (c *Cache) ObjectGen() int64 {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.objectGen

@@ -32,9 +32,6 @@ const CostSampleWindow = 512
 // the caller falls back to the static cost model. Cache trouble must never
 // fail a compilation, so there is no error return.
 func (c *Cache) CostSamples() []sched.CostSample {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	d := c.disk
 	c.mu.Unlock()
@@ -83,12 +80,9 @@ type costModelMemo struct {
 // memoized on the record file's (size, mtime). An external writer that
 // lands between the stat and the read can leave the memo one write stale;
 // the next call's stat catches it — samples are a scheduling hint, so a
-// briefly stale fit is harmless. Nil cache or no disk tier yields the
+// briefly stale fit is harmless. A cache without a disk tier yields the
 // static model, like CostSamples.
 func (c *Cache) FittedCostModel() (sched.Model, []sched.CostSample) {
-	if c == nil {
-		return sched.Fit(nil), nil
-	}
 	c.mu.Lock()
 	d := c.disk
 	c.mu.Unlock()
@@ -141,12 +135,9 @@ func (c *Cache) memoizeModel(st os.FileInfo, model sched.Model, samples []sched.
 // PutCostSamples persists the sample window (truncated to the most recent
 // CostSampleWindow entries), replacing any previous record via the disk
 // tier's tmp+rename protocol so readers only ever observe complete records.
-// A nil cache or one without a disk tier is a silent no-op: samples are a
-// scheduling hint, not a correctness artifact.
+// A cache without a disk tier is a silent no-op: samples are a scheduling
+// hint, not a correctness artifact.
 func (c *Cache) PutCostSamples(samples []sched.CostSample) error {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	d := c.disk
 	c.mu.Unlock()

@@ -68,13 +68,6 @@ func TestCostSamplesNoDiskTier(t *testing.T) {
 	if got := c.CostSamples(); got != nil {
 		t.Fatalf("diskless load must be nil, got %d samples", len(got))
 	}
-	var nilCache *Cache
-	if err := nilCache.PutCostSamples(sampleWindow(1)); err != nil {
-		t.Fatalf("nil cache put: %v", err)
-	}
-	if got := nilCache.CostSamples(); got != nil {
-		t.Fatal("nil cache load must be nil")
-	}
 }
 
 func TestCostSamplesMissingFile(t *testing.T) {
@@ -255,9 +248,5 @@ func TestFittedModelNoDiskTier(t *testing.T) {
 	m, s := c.FittedCostModel()
 	if m.Fitted || s != nil {
 		t.Fatalf("no disk tier must yield the static model and no samples: %+v %v", m, s)
-	}
-	var nilc *Cache
-	if m, s := nilc.FittedCostModel(); m.Fitted || s != nil {
-		t.Fatalf("nil cache must yield the static model: %+v %v", m, s)
 	}
 }

@@ -64,8 +64,8 @@ func dialT(t *testing.T, addr string) *Client {
 
 // gatedBackend wraps a backend so its calls block until the test releases
 // them — pinning jobs "in flight" deterministically. Wrapping hides the
-// pool's optional interfaces (cache, stats), which only narrows the paths
-// under test.
+// pool's optional stats interfaces, which only narrows the paths under
+// test.
 type gatedBackend struct {
 	core.Backend
 	release chan struct{}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/compiler"
 	"repro/internal/core"
+	"repro/internal/fcache"
 	"repro/internal/leakcheck"
 	"repro/internal/wgen"
 )
@@ -38,11 +39,11 @@ func TestCrossBuildStealParity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
-		// An uncached pool per round: every job recompiles for real, so the
-		// shared fleet is genuinely exercised rather than answered from the
-		// object tier.
+		// A pool with a fresh cache per round: every job recompiles for
+		// real, so the shared fleet is genuinely exercised rather than
+		// answered from the object tier.
 		d, addr := startDaemon(t, Config{
-			Backend:   cluster.NewLocalPoolWith(workers, nil),
+			Backend:   cluster.NewLocalPoolWith(workers, fcache.New(0)),
 			MaxActive: 2,
 		})
 		clA, clB := dialT(t, addr), dialT(t, addr)
@@ -101,7 +102,7 @@ func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 	noAmbientDiskCache(t)
 	baseline := leakcheck.Take()
 
-	pool := cluster.NewLocalPoolWith(2, nil)
+	pool := cluster.NewLocalPoolWith(2, fcache.New(0))
 	gated := newGatedBackend(pool)
 	d, err := NewDaemon(Config{Backend: gated, MaxActive: 2})
 	if err != nil {
@@ -112,6 +113,10 @@ func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 
 	srcA := wgen.SkewedProgram(2, 4)
 	srcB := wgen.MixedProgram(16)
+	seqA, err := compiler.CompileModule("a.w2", srcA, compiler.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	seqB, err := compiler.CompileModule("b.w2", srcB, compiler.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -166,12 +171,13 @@ func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 
 	// The fleet keeps serving after the cancellation: a fresh job through
 	// the same shared fleet still completes correctly (no orphan poisoning,
-	// no stuck slots).
-	r2, err := clB.Compile(context.Background(), "b.w2", srcB, compiler.Options{}, core.ParallelOptions{})
+	// no stuck slots). It resubmits A, whose cancelled units never compiled,
+	// so its functions are not answered from B's cached objects.
+	r2, err := clB.Compile(context.Background(), "a.w2", srcA, compiler.Options{}, core.ParallelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.VerifySameOutput(seqB.Module, r2.Module); err != nil {
+	if err := core.VerifySameOutput(seqA.Module, r2.Module); err != nil {
 		t.Fatalf("post-cancellation job differs from sequential: %v", err)
 	}
 	if n := d.snapshotStats().Tokens.Outstanding; n != 0 {
@@ -197,7 +203,7 @@ func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 func TestTinyJobNotStarvedByHugeJob(t *testing.T) {
 	noAmbientDiskCache(t)
 	_, addr := startDaemon(t, Config{
-		Backend:   cluster.NewLocalPoolWith(2, nil),
+		Backend:   cluster.NewLocalPoolWith(2, fcache.New(0)),
 		MaxActive: 2,
 	})
 	tinyCl := dialT(t, addr)
@@ -205,19 +211,30 @@ func TestTinyJobNotStarvedByHugeJob(t *testing.T) {
 	hugeCl := dialT(t, addr)
 	hugeCl.SetIdentity("tenant-huge")
 
-	tinySrc := wgen.SmallFuncsProgram(3)
+	// Every tiny job edits all three functions afresh, so none is answered
+	// from the pool's object cache: each one really compiles.
+	tinyJobs := uint64(0)
+	tinySrc := func() []byte {
+		tinyJobs++
+		src, _, err := wgen.MutateFunctions(wgen.SmallFuncsProgram(3), 3, tinyJobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src
+	}
 	hugeSrc := wgen.SkewedProgram(3, 10)
 
 	// Solo latency: the tiny job with the daemon otherwise idle. The first
 	// compile also warms the process (JIT-free, but allocator and page
 	// cache warmup are real); a second solo run is the fair yardstick.
 	for i := 0; i < 2; i++ {
-		if _, err := tinyCl.Compile(context.Background(), "tiny.w2", tinySrc, compiler.Options{}, core.ParallelOptions{}); err != nil {
+		if _, err := tinyCl.Compile(context.Background(), "tiny.w2", tinySrc(), compiler.Options{}, core.ParallelOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	src := tinySrc()
 	t0 := time.Now()
-	if _, err := tinyCl.Compile(context.Background(), "tiny.w2", tinySrc, compiler.Options{}, core.ParallelOptions{}); err != nil {
+	if _, err := tinyCl.Compile(context.Background(), "tiny.w2", src, compiler.Options{}, core.ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	solo := time.Since(t0)
@@ -235,8 +252,9 @@ func TestTinyJobNotStarvedByHugeJob(t *testing.T) {
 	// Give the huge job a head start so it owns the fleet when tiny arrives.
 	time.Sleep(20 * time.Millisecond)
 
+	src = tinySrc()
 	t1 := time.Now()
-	if _, err := tinyCl.Compile(context.Background(), "tiny.w2", tinySrc, compiler.Options{}, core.ParallelOptions{}); err != nil {
+	if _, err := tinyCl.Compile(context.Background(), "tiny.w2", src, compiler.Options{}, core.ParallelOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	loaded := time.Since(t1)
