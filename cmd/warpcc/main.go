@@ -340,12 +340,6 @@ func printParallelStatsJSON(s *core.ParallelStats) {
 	if math.IsNaN(js.Dispatch.RankCorr) {
 		js.Dispatch.RankCorr = 0
 	}
-	if math.IsNaN(js.Steal.FittedRankCorr) {
-		js.Steal.FittedRankCorr = 0
-	}
-	if math.IsNaN(js.Steal.StaticRankCorr) {
-		js.Steal.StaticRankCorr = 0
-	}
 	b, err := json.Marshal(&js)
 	if err != nil {
 		fatal(fmt.Errorf("encoding -stats-json: %w", err))
@@ -376,14 +370,6 @@ func printParallelStats(s *core.ParallelStats) {
 	fmt.Printf("schedule: policy=%s threshold=%.0f units=%d batches=%d batched-funcs=%d%s\n",
 		d.Policy, d.BatchThreshold, d.Units, d.Batches, d.BatchedFuncs, rankCorr)
 	st := s.Steal
-	fit := "static"
-	if st.ModelFitted {
-		fit = fmt.Sprintf("fitted(%d samples)", st.SampleCount)
-	}
-	corr := "" // meaningless below 3 measured functions (NaN): omitted
-	if !math.IsNaN(st.FittedRankCorr) && !math.IsNaN(st.StaticRankCorr) {
-		corr = fmt.Sprintf(" rank-corr fitted=%.2f static=%.2f", st.FittedRankCorr, st.StaticRankCorr)
-	}
 	var idle time.Duration
 	for _, d := range st.IdleTime {
 		idle += d
@@ -392,8 +378,8 @@ func printParallelStats(s *core.ParallelStats) {
 	if st.Shared {
 		fleet = "shared"
 	}
-	fmt.Printf("steal: steals=%d cross-build=%d batch-splits=%d steal-latency=%v idle-total=%v fleet=%s model=%s%s\n",
-		st.Steals, st.CrossBuildSteals, st.BatchSplits, st.StealLatency.Round(1000), idle.Round(1000), fleet, fit, corr)
+	fmt.Printf("steal: steals=%d cross-build=%d batch-splits=%d steal-latency=%v idle-total=%v fleet=%s\n",
+		st.Steals, st.CrossBuildSteals, st.BatchSplits, st.StealLatency.Round(1000), idle.Round(1000), fleet)
 	fmt.Printf("incremental: unchanged=%d worker-hits=%d recompiled=%d recompile-ratio=%.2f\n",
 		d.UnchangedFuncs, d.IncrementalHits, d.RecompiledFuncs, d.RecompileRatio)
 	if c := s.Cache; c.PeerHits+c.PeerMisses+c.PeerErrors+c.PeerPrefetched+c.PeerServed > 0 {

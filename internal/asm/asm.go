@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"repro/internal/codegen"
-	"repro/internal/ir"
 	"repro/internal/machine"
 )
 
@@ -151,5 +150,3 @@ func (o *Object) Listing() string {
 	}
 	return s
 }
-
-var _ = ir.None // dependency note: codegen.PFunc carries ir.ArrayVar

@@ -5,8 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"repro/internal/source"
 )
 
 // Fprint writes m back out as W2 source text. The output re-parses to an
@@ -298,7 +296,3 @@ func stmtLines(s Stmt) int {
 	}
 	return 1
 }
-
-// posOf is a compile-time assertion helper keeping source import used even
-// if positions become optional in future printers.
-var _ = source.NoPos

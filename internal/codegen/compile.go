@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/ir"
-	"repro/internal/machine"
 )
 
 // Options selects code-generation strategies. The zero value is the full
@@ -86,26 +85,3 @@ func WordCount(pf *PFunc) int {
 	}
 	return n
 }
-
-// CriticalPathEstimate sums per-block schedule lengths weighted by a static
-// loop-depth guess; used only as a code-quality metric in benchmarks.
-func CriticalPathEstimate(pf *PFunc) int {
-	n := 0
-	for _, b := range pf.Blocks {
-		n += len(b.Scheduled)
-	}
-	return n
-}
-
-// sanity: ensure every block got scheduled.
-func checkScheduled(pf *PFunc) error {
-	for _, b := range pf.Blocks {
-		if b.Scheduled == nil {
-			return fmt.Errorf("%s: block %s was never scheduled", pf.Name, b.Label)
-		}
-	}
-	return nil
-}
-
-var _ = checkScheduled
-var _ = machine.NumRegs

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/codegen"
 	"repro/internal/interp"
-	"repro/internal/machine"
 	"repro/internal/warpsim"
 )
 
@@ -404,5 +403,3 @@ section 1 {
 		t.Errorf("driver streams wrong: in=%d out=%d", res.Driver.InputElems(), res.Driver.OutputElems())
 	}
 }
-
-var _ = machine.NumRegs

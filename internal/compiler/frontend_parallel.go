@@ -113,22 +113,23 @@ func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, sr
 	return e, int64(len(src))*8 + 4096
 }
 
-// FrontendEntryCachedWith is FrontendEntryCached with a selectable frontend
-// implementation: on a cache miss with fopts.Parallel the entry is built by
-// FrontendParallel, so a parallel frontend fills the same tier the
-// sequential one reads (the artifacts are word-identical). Cancellation of a
-// parallel build propagates as an error to every waiter and caches nothing.
-func FrontendEntryCachedWith(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, fopts FrontendOptions) (*fcache.FrontendEntry, error) {
-	if !fopts.Parallel {
-		return FrontendEntryCached(cache, h, file, src), nil
-	}
-	build := func() (*fcache.FrontendEntry, int64, error) {
+// ClaimFrontendEntry is FrontendEntryCached claimed ahead of the work
+// (fcache.Cache.ClaimFrontend; call the returned function exactly once) and
+// with a selectable frontend: on a miss with fopts.Parallel the entry is
+// built by FrontendParallel, which fills the same tier the sequential one
+// reads (the artifacts are word-identical). A cancelled parallel build's
+// error reaches every waiter that can take one and caches nothing.
+func ClaimFrontendEntry(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, fopts FrontendOptions) func() (*fcache.FrontendEntry, error) {
+	return cache.ClaimFrontend(h, func() (*fcache.FrontendEntry, int64, error) {
+		if !fopts.Parallel {
+			e, cost := buildFrontendEntry(file, src)
+			return e, cost, nil
+		}
 		m, info, bag, err := FrontendParallel(ctx, file, src, fopts)
 		if err != nil {
 			return nil, 0, err
 		}
 		e, cost := packageFrontendEntry(m, info, bag, src, fopts.Outline)
 		return e, cost, nil
-	}
-	return cache.FrontendErr(h, build)
+	})
 }

@@ -190,8 +190,8 @@ func TestFrontendEntryCachedWithParity(t *testing.T) {
 
 	for kind, outline := range outlines(src) {
 		cache := fcache.New(1 << 20)
-		par, err := FrontendEntryCachedWith(context.Background(), cache, h, "m.w2", src,
-			FrontendOptions{Parallel: true, Workers: 4, Outline: outline})
+		par, err := ClaimFrontendEntry(context.Background(), cache, h, "m.w2", src,
+			FrontendOptions{Parallel: true, Workers: 4, Outline: outline})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,8 +211,8 @@ func TestFrontendEntryCachedWithParity(t *testing.T) {
 			t.Errorf("%s: calls differ from the sequential entry's", kind)
 		}
 
-		hit, err := FrontendEntryCachedWith(context.Background(), cache, h, "m.w2", src,
-			FrontendOptions{Parallel: true, Workers: 4})
+		hit, err := ClaimFrontendEntry(context.Background(), cache, h, "m.w2", src,
+			FrontendOptions{Parallel: true, Workers: 4})()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +234,8 @@ func TestFrontendParallelCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := FrontendEntryCachedWith(ctx, cache, h, "m.w2", src,
-		FrontendOptions{Parallel: true, Workers: 4})
+	_, err := ClaimFrontendEntry(ctx, cache, h, "m.w2", src,
+		FrontendOptions{Parallel: true, Workers: 4})()
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -243,8 +243,8 @@ func TestFrontendParallelCancel(t *testing.T) {
 	before.Check(t)
 
 	// The cache must not have memoized the cancellation.
-	e, err := FrontendEntryCachedWith(context.Background(), cache, h, "m.w2", src,
-		FrontendOptions{Parallel: true, Workers: 4})
+	e, err := ClaimFrontendEntry(context.Background(), cache, h, "m.w2", src,
+		FrontendOptions{Parallel: true, Workers: 4})()
 	if err != nil {
 		t.Fatalf("retry after cancellation: %v", err)
 	}

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -244,34 +246,60 @@ func TestVerifySameOutputDetectsDifferences(t *testing.T) {
 // output, the planned scheduling counters, and that every unit is one
 // backend call. FCFS is the paper's policy (singleton units, declaration
 // order) expressed as plan data on the one dispatch path.
+//
+// The cost estimator is static, so the plan is a function of the source and
+// the options alone: the "history" row runs the default policy over a disk
+// tier that has already compiled other programs, and must plan exactly the
+// units the same build plans over a fresh cache.
 func TestParallelPoliciesMatchSequential(t *testing.T) {
 	src := wgen.SmallFuncsProgram(16)
 	seq, err := compiler.CompileModule("small.w2", src, compiler.Options{})
 	if err != nil {
 		t.Fatalf("sequential: %v", err)
 	}
+	history := compiledHistory(t, wgen.SkewedProgram(2, 5), wgen.UserProgram())
 	cases := []struct {
 		name        string
 		popts       ParallelOptions
 		wantBatches bool // at least one multi-function unit planned
 		wantUnits   int  // exact unit count; 0 = don't check
+		history     bool // the cache's disk tier starts as a copy of history
 	}{
-		{"default", ParallelOptions{}, true, 0},
-		{"fcfs", ParallelOptions{Sched: SchedFCFS}, false, 16},
-		{"lpt-no-batch", ParallelOptions{BatchThreshold: -1}, false, 16},
-		{"lpt-huge-threshold", ParallelOptions{BatchThreshold: 1e9}, true, 0},
+		{"default", ParallelOptions{}, true, 0, false},
+		{"fcfs", ParallelOptions{Sched: SchedFCFS}, false, 16, false},
+		{"lpt-no-batch", ParallelOptions{BatchThreshold: -1}, false, 16, false},
+		{"lpt-huge-threshold", ParallelOptions{BatchThreshold: 1e9}, true, 0, false},
+		{"history", ParallelOptions{}, true, 0, true},
 	}
 	for _, be := range backendRows {
 		for _, tc := range cases {
 			for _, workers := range []int{1, 2, 4, 8} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", be.name, tc.name, workers), func(t *testing.T) {
 					backend := be.mk(workers)
+					if tc.history {
+						dir := t.TempDir()
+						copyDir(t, history, dir)
+						if err := backend.Cache().AttachDisk(dir, 64<<20); err != nil {
+							t.Fatal(err)
+						}
+					}
 					par, stats, err := ParallelCompileWith("small.w2", src, backend, compiler.Options{}, tc.popts)
 					if err != nil {
 						t.Fatalf("parallel: %v", err)
 					}
 					checkMatchesSequential(t, seq, par)
 					d := stats.Dispatch
+					if tc.history {
+						_, fresh, err := ParallelCompileWith("small.w2", src, be.mk(workers), compiler.Options{}, tc.popts)
+						if err != nil {
+							t.Fatalf("parallel over a fresh cache: %v", err)
+						}
+						f := fresh.Dispatch
+						if d.Units != f.Units || d.Batches != f.Batches || d.BatchedFuncs != f.BatchedFuncs {
+							t.Errorf("plan over a cache with history %d/%d/%d (units/batches/batched), over a fresh cache %d/%d/%d",
+								d.Units, d.Batches, d.BatchedFuncs, f.Units, f.Batches, f.BatchedFuncs)
+						}
+					}
 					if tc.wantBatches != (d.Batches > 0) {
 						t.Errorf("want batches=%v, got %+v", tc.wantBatches, d)
 					}
@@ -299,6 +327,41 @@ func TestParallelPoliciesMatchSequential(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// compiledHistory returns a disk-tier directory in which the given programs
+// have been compiled, so it holds everything such builds leave behind.
+func compiledHistory(t *testing.T, programs ...[]byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	b := newLocalBackend(2)
+	if err := b.cache.AttachDisk(dir, 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	for i, src := range programs {
+		if _, _, err := ParallelCompile(fmt.Sprintf("history%d.w2", i), src, b, compiler.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// copyDir copies the regular files of directory src into directory dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), data, 0o666)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -1,4 +1,14 @@
 package core
 
-// MasterFrontend exposes the master's phase-1 leg to the external tests.
-var MasterFrontend = masterFrontend
+import (
+	"context"
+
+	"repro/internal/compiler"
+	"repro/internal/fcache"
+	"repro/internal/parser"
+)
+
+// MasterFrontend runs the master's phase-1 leg for the external tests.
+func MasterFrontend(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, outline *parser.Outline, workers int) (*fcache.FrontendEntry, compiler.FrontendTiming, error) {
+	return masterFrontend(ctx, cache, h, file, src, outline, workers)()
+}

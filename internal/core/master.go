@@ -142,19 +142,24 @@ type frontendVerdict struct {
 	timing compiler.FrontendTiming
 }
 
-// masterFrontend is the master's own phase-1 leg: the frontend-tier entry
-// of src, built on a miss by the parallel frontend from the setup parse's
-// outline — its tree is checked rather than parsed again, and its hashes
-// and calls become the entry's.
-func masterFrontend(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, outline *parser.Outline, workers int) (*fcache.FrontendEntry, compiler.FrontendTiming, error) {
+// masterFrontend claims the master's own phase-1 leg: the frontend-tier
+// entry of src, built on a miss by the parallel frontend from the setup
+// parse's outline — its tree is checked rather than parsed again, and its
+// hashes and calls become the entry's. The tier's slot for h is taken when
+// masterFrontend is called; the returned function, called exactly once,
+// builds the entry (or returns or waits for a cached or in-flight one).
+func masterFrontend(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, outline *parser.Outline, workers int) func() (*fcache.FrontendEntry, compiler.FrontendTiming, error) {
 	var timing compiler.FrontendTiming
-	fe, err := compiler.FrontendEntryCachedWith(ctx, cache, h, file, src, compiler.FrontendOptions{
+	run := compiler.ClaimFrontendEntry(ctx, cache, h, file, src, compiler.FrontendOptions{
 		Parallel: true,
 		Workers:  workers,
 		Outline:  outline,
 		Timing:   &timing,
 	})
-	return fe, timing, err
+	return func() (*fcache.FrontendEntry, compiler.FrontendTiming, error) {
+		fe, err := run()
+		return fe, timing, err
+	}
 }
 
 // sectionDone is one section master's outcome, streamed to the combine loop
@@ -213,17 +218,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	srcHash := fcache.HashSource(src)
 	masterCache := backend.Cache()
 
-	// The self-tuning cost model: fitted against the persisted sample window
-	// (empty without a disk tier — then Fit returns the static formula) and
-	// memoized in the cache keyed on the record's stat, so back-to-back jobs
-	// in a daemon pay one stat call, not a re-read and re-fit. Fitting is
-	// guarded: fewer than 3 samples, a degenerate system, or a fit that
-	// ranks the window worse than the static formula all keep the paper's
-	// heuristic.
-	model, persisted := masterCache.FittedCostModel()
-	stats.Steal.ModelFitted = model.Fitted
-	stats.Steal.SampleCount = len(persisted)
-
 	// The work-stealing fleet: one set of dispatch slots shared by every
 	// section master, so a straggler section's queue is drained by its
 	// siblings' idle slots instead of waiting on its own. A standalone build
@@ -275,11 +269,15 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 
 	// Speculative dispatch: the outline alone is enough to plan and fork
 	// section masters, so the master's frontend runs concurrently with the
-	// fleet instead of ahead of it.
+	// fleet instead of ahead of it. The leg claims the frontend tier's slot
+	// for srcHash before any section master forks: an in-process worker that
+	// needs the entry then waits on this leg instead of parsing the source
+	// a second time.
+	frontend := masterFrontend(callerCtx, masterCache, srcHash, file, src, outline, popts.FrontendWorkers)
 	feCh := make(chan frontendVerdict, 1)
 	go func() {
 		t := time.Now()
-		fe, timing, err := masterFrontend(callerCtx, masterCache, srcHash, file, src, outline, popts.FrontendWorkers)
+		fe, timing, err := frontend()
 		if err != nil {
 			feCh <- frontendVerdict{err: err, time: time.Since(t)}
 			return
@@ -290,7 +288,7 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	regionStart := time.Now()
 	for i, so := range outline.Sections {
 		go func(i int, so parser.SectionOutline) {
-			r, err := runSectionMaster(ctx, file, src, srcHash, so, backend, masterCache, model, build, opts, popts)
+			r, err := runSectionMaster(ctx, file, src, srcHash, so, backend, masterCache, build, opts, popts)
 			secCh <- sectionDone{pos: i, res: r, err: err}
 		}(i, so)
 	}
@@ -405,10 +403,8 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	// the process boundary.
 	var funcResults []*compiler.FuncResult
 	var warnings []string
-	var observed []sched.CostSample
 	warnings = append(warnings, compiler.FrontendWarnings(m, bag, nil)...)
 	for _, r := range secResults {
-		observed = append(observed, r.Samples...)
 		stats.SectionCPU[r.Section] = r.MasterTime
 		stats.DispatchTime += r.PlanTime
 		stats.Dispatch.Units += r.Units
@@ -432,8 +428,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	}
 	stats.Warnings = len(warnings)
 	stats.Dispatch.RankCorr = estimatorAccuracy(outline, stats.FuncCPU)
-	stats.Steal.StaticRankCorr = stats.Dispatch.RankCorr
-	stats.Steal.FittedRankCorr = estimatorAccuracyModel(outline, stats.FuncCPU, model)
 	// All sections combined: every one of this build's units has been
 	// delivered, so Close (idempotent with the deferred one) settles the
 	// handle without waiting on sibling builds. A private fleet is retired
@@ -451,12 +445,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 		fleet.Wait()
 	}
 	stats.Steal.IdleTime = idleDelta(fleet.Stats().IdleTime, fleetBase.IdleTime)
-	// Feed the estimator's loop: append this build's observations to the
-	// persisted window (PutCostSamples trims it and is a no-op without a
-	// disk tier). Failures are ignored — samples are a scheduling hint.
-	if len(observed) > 0 {
-		_ = masterCache.PutCostSamples(append(persisted, observed...))
-	}
 	if total := outline.NumFunctions(); total > 0 {
 		stats.Dispatch.RecompiledFuncs = total - stats.Dispatch.UnchangedFuncs - stats.Dispatch.IncrementalHits
 		stats.Dispatch.RecompileRatio = float64(stats.Dispatch.RecompiledFuncs) / float64(total)

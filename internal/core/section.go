@@ -50,10 +50,6 @@ type SectionResult struct {
 	WorkerHits int
 	// Warnings are all function masters' warnings in declaration order.
 	Warnings []string
-	// Samples are the observed (shape → seconds) cost samples this section
-	// collected from replies that genuinely ran phases 2+3 — cache hits
-	// never ran and would teach the estimator that their shape is free.
-	Samples []sched.CostSample
 }
 
 // unitDone is one dispatch unit's outcome, streamed back to the section
@@ -82,7 +78,7 @@ type unitDone struct {
 // mid-flight (a steal can crack a queued batch open), and the combine loop
 // therefore counts remaining *tasks*, not units. Emission stays keyed by
 // declaration index.
-func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcache.SourceHash, so parser.SectionOutline, backend Backend, masterCache *fcache.Cache, model sched.Model, build *sched.Build, opts compiler.Options, popts ParallelOptions) (*SectionResult, error) {
+func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcache.SourceHash, so parser.SectionOutline, backend Backend, masterCache *fcache.Cache, build *sched.Build, opts compiler.Options, popts ParallelOptions) (*SectionResult, error) {
 	t0 := time.Now()
 	res := &SectionResult{
 		Section: so.Index,
@@ -111,7 +107,7 @@ func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcac
 			LoopDepth: fo.LoopDepth,
 		})
 	}
-	units := sched.PlanCosted(model.Costs(tasks), popts.planThreshold(), backend.Workers())
+	units := sched.Plan(tasks, popts.planThreshold(), backend.Workers())
 	res.Units = len(units)
 	for _, u := range units {
 		if u.IsBatch() {
@@ -191,13 +187,6 @@ func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcac
 			res.CPUTime += r.CPUTime
 			if r.CacheHit {
 				res.WorkerHits++
-			} else if r.CPUTime > 0 {
-				res.Samples = append(res.Samples, sched.CostSample{
-					Lines:     t.Lines,
-					LoopDepth: t.LoopDepth,
-					Section:   t.Section,
-					Seconds:   r.CPUTime.Seconds(),
-				})
 			}
 		}
 	}

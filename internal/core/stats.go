@@ -48,8 +48,7 @@ type DispatchStats struct {
 }
 
 // StealStats reports the global work-stealing scheduler's activity during
-// one compilation, plus how the self-tuning cost model performed against the
-// static formula.
+// one compilation.
 type StealStats struct {
 	// Shared reports that the fleet was a daemon-lifetime one multiplexing
 	// concurrent builds (false for the standalone per-build fleet).
@@ -72,18 +71,6 @@ type StealStats struct {
 	// idle accrued during this job's window (approximate under overlap,
 	// the way FaultStats deltas are).
 	IdleTime []time.Duration
-	// ModelFitted reports that the cost model was fitted from persisted
-	// samples (false on a cold cache or when the fit failed its guards);
-	// SampleCount is the size of the persisted window the fit ran over.
-	ModelFitted bool
-	SampleCount int
-	// FittedRankCorr and StaticRankCorr are the Spearman rank correlations
-	// of the fitted and static cost models against this build's measured
-	// per-function CPU times (NaN below 3 measured functions, omitted from
-	// -stats). The fit guard keeps FittedRankCorr ≥ StaticRankCorr on the
-	// recorded sample window.
-	FittedRankCorr float64
-	StaticRankCorr float64
 }
 
 // idleDelta subtracts a per-slot idle snapshot taken at build open from one
@@ -153,8 +140,7 @@ type ParallelStats struct {
 	Warnings int
 	// Dispatch summarizes scheduling decisions and estimator accuracy.
 	Dispatch DispatchStats
-	// Steal reports the work-stealing scheduler's rebalancing activity and
-	// the self-tuning cost model's performance.
+	// Steal reports the work-stealing scheduler's rebalancing activity.
 	Steal StealStats
 	// Pipeline reports the overlap won by the pipelined master.
 	Pipeline PipelineStats
@@ -184,13 +170,6 @@ func (s *ParallelStats) TotalFuncCPU() time.Duration {
 // is meaningless noise (always ±1 for 1–2 points), so it is reported as NaN
 // and omitted from the stats output.
 func estimatorAccuracy(o *parser.Outline, funcCPU map[string]time.Duration) float64 {
-	return estimatorAccuracyModel(o, funcCPU, sched.StaticModel())
-}
-
-// estimatorAccuracyModel is estimatorAccuracy under an arbitrary cost model
-// — the fitted and static models are scored against the same measured times
-// to report the before/after-fit correlation.
-func estimatorAccuracyModel(o *parser.Outline, funcCPU map[string]time.Duration, m sched.Model) float64 {
 	var predicted, actual []float64
 	for _, so := range o.Sections {
 		for _, fo := range so.Functions {
@@ -198,7 +177,7 @@ func estimatorAccuracyModel(o *parser.Outline, funcCPU map[string]time.Duration,
 			if !ok || cpu <= 0 {
 				continue
 			}
-			predicted = append(predicted, m.Estimate(sched.Task{Lines: fo.Lines, LoopDepth: fo.LoopDepth}))
+			predicted = append(predicted, sched.EstimateCost(sched.Task{Lines: fo.Lines, LoopDepth: fo.LoopDepth}))
 			actual = append(actual, cpu.Seconds())
 		}
 	}

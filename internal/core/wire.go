@@ -83,10 +83,10 @@ type Backend interface {
 	// Workers returns the number of processors behind the backend.
 	Workers() int
 	// Cache returns the master's artifact cache (never nil): the master
-	// fills its frontend tier during its own phase 1, probes its object tier
-	// for unchanged functions before dispatch, and persists cost samples in
-	// its disk tier. A backend whose workers run in-process shares it with
-	// them (cluster.LocalPool), so no worker ever re-parses.
+	// fills its frontend tier during its own phase 1 and probes its object
+	// tier for unchanged functions before dispatch. A backend whose workers
+	// run in-process shares it with them (cluster.LocalPool), so no worker
+	// ever re-parses.
 	Cache() *fcache.Cache
 }
 

@@ -165,6 +165,55 @@ func TestDiskSizeCapEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestDiskLeavesForeignFilesAlone: the tier owns only the o-*.wfc
+// namespace. Any other file in the directory — here the cost-samples.wfc
+// record that older binaries wrote beside the objects — is neither indexed,
+// counted in used, nor evicted, across opens and eviction pressure alike.
+func TestDiskLeavesForeignFilesAlone(t *testing.T) {
+	dir := t.TempDir()
+	foreign := filepath.Join(dir, "cost-samples.wfc")
+	want, err := EncodeRecord("cost-samples/v1", bytes.Repeat([]byte{3}, 3<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(foreign, want, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	check := func(c *Cache, when string) {
+		t.Helper()
+		c.disk.mu.Lock()
+		_, indexed := c.disk.files["cost-samples.wfc"]
+		var sum int64
+		for _, f := range c.disk.files {
+			sum += f.size
+		}
+		used := c.disk.used
+		c.disk.mu.Unlock()
+		if indexed {
+			t.Errorf("%s: the foreign file is in the object index", when)
+		}
+		if used != sum {
+			t.Errorf("%s: used = %d, but the indexed objects total %d", when, used, sum)
+		}
+		got, err := os.ReadFile(foreign)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: the foreign file was removed or changed (err %v)", when, err)
+		}
+	}
+
+	// A 6KiB cap holds one ~4KiB object, so every later store evicts.
+	c := diskCache(t, dir, 6<<10)
+	check(c, "open")
+	for _, label := range []string{"a", "b", "c", "d"} {
+		storeObj(t, c, label, 4<<10)
+	}
+	if s := c.Stats(); s.DiskEvictions == 0 {
+		t.Fatalf("no disk evictions after filling past the cap: %+v", s)
+	}
+	check(c, "after eviction")
+	check(diskCache(t, dir, 6<<10), "reopen")
+}
+
 // TestDiskSharedDirConcurrent simulates several masters/workers sharing one
 // cache directory: concurrent stores and loads of overlapping keys must stay
 // error-free and converge to every key being a hit everywhere.

@@ -303,11 +303,6 @@ type Cache struct {
 	disk  *diskTier // nil without a persistent object tier
 	peers PeerView  // nil without a peer fill tier (AttachPeers)
 
-	// model memoizes the fitted scheduler cost model keyed on the samples
-	// record's (size, mtime), so back-to-back builds over an unchanged
-	// sample window skip the re-read and re-fit (see samples.go).
-	model costModelMemo
-
 	// objectGen counts object-tier arrivals (memory inserts of new obj:
 	// keys and disk writes). The peer protocol piggybacks it on fetch
 	// replies as a cheap staleness stamp for Bloom summaries: any change
@@ -388,29 +383,44 @@ func (c *Cache) DiskDir() string {
 // pure function of the source content; it is invoked at most once per key
 // even under concurrent callers. The second return is cost in bytes.
 func (c *Cache) Frontend(h SourceHash, build func() (*FrontendEntry, int64)) *FrontendEntry {
-	v, _ := c.getOrCompute("fe:"+h.String(), tierFrontend, func() (any, int64, error) {
+	v, err := c.getOrCompute("fe:"+h.String(), tierFrontend, func() (any, int64, error) {
 		e, cost := build()
 		return e, cost, nil
 	})
+	if err != nil {
+		// The call joined a ClaimFrontend build that failed and cached
+		// nothing; this caller's build cannot fail, so it runs its own.
+		e, _ := build()
+		return e
+	}
 	return v.(*FrontendEntry)
 }
 
-// FrontendErr is Frontend with an error path: build may fail — the parallel
-// frontend returns an error when its context is cancelled — in which case
-// the error propagates to every waiting caller and nothing is cached, so a
-// later request computes the entry afresh.
-func (c *Cache) FrontendErr(h SourceHash, build func() (*FrontendEntry, int64, error)) (*FrontendEntry, error) {
-	v, err := c.getOrCompute("fe:"+h.String(), tierFrontend, func() (any, int64, error) {
-		e, cost, err := build()
+// ClaimFrontend is Frontend with an error path, split at the lookup. The
+// lookup happens when ClaimFrontend is called, and on a miss it takes the
+// key's singleflight slot there and then; the returned function, which must
+// be called exactly once, builds the entry (or returns or waits for the one
+// that is cached or in flight). So a caller can claim h before it starts
+// other work that needs the entry and build on another goroutine: every
+// Frontend call for h from then on waits on that build instead of running
+// its own. build may fail — the parallel frontend returns an error when its
+// context is cancelled — in which case the error reaches every waiter that
+// can take one, and nothing is cached, so a later request builds afresh.
+func (c *Cache) ClaimFrontend(h SourceHash, build func() (*FrontendEntry, int64, error)) func() (*FrontendEntry, error) {
+	s := c.claim("fe:"+h.String(), tierFrontend)
+	return func() (*FrontendEntry, error) {
+		v, err := c.complete(s, func() (any, int64, error) {
+			e, cost, err := build()
+			if err != nil {
+				return nil, 0, err
+			}
+			return e, cost, nil
+		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		return e, cost, nil
-	})
-	if err != nil {
-		return nil, err
+		return v.(*FrontendEntry), nil
 	}
-	return v.(*FrontendEntry), nil
 }
 
 // FuncIR returns the lowered, inlined (call-free) flowgraph of the function
@@ -619,35 +629,61 @@ func (c *Cache) countLocked(t tier, hit bool) {
 // missing key; concurrent callers for the same key block until the value is
 // ready and share it. Errors propagate to every waiter but are not cached.
 func (c *Cache) getOrCompute(key string, t tier, build func() (any, int64, error)) (any, error) {
+	return c.complete(c.claim(key, t), build)
+}
+
+// stake is one caller's claim on a key: the cached value (cl nil), an
+// in-flight call another caller computes, or — owner — the call this
+// caller has registered and must complete.
+type stake struct {
+	key   string
+	val   any
+	cl    *call
+	owner bool
+}
+
+// claim looks key up and, on a miss with nothing in flight, registers the
+// key's in-flight call for this caller.
+func (c *Cache) claim(key string, t tier) stake {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.countLocked(t, true)
-		c.mu.Unlock()
-		return el.Value.(*entry).val, nil
+		return stake{key: key, val: el.Value.(*entry).val}
 	}
 	if cl, ok := c.inflight[key]; ok {
 		c.stats.InflightWaits++
 		c.countLocked(t, true) // the shared computation counts as one miss total
-		c.mu.Unlock()
-		<-cl.done
-		return cl.val, cl.err
+		return stake{key: key, cl: cl}
 	}
 	c.countLocked(t, false)
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl
-	c.mu.Unlock()
+	return stake{key: key, cl: cl, owner: true}
+}
 
+// complete resolves a stake: a hit returns its value, a waiter blocks on
+// the in-flight call, and the owner runs build, caches a success and
+// releases the waiters.
+func (c *Cache) complete(s stake, build func() (any, int64, error)) (any, error) {
+	switch {
+	case s.cl == nil:
+		return s.val, nil
+	case !s.owner:
+		<-s.cl.done
+		return s.cl.val, s.cl.err
+	}
 	val, cost, err := build()
-	cl.val, cl.err = val, err
+	s.cl.val, s.cl.err = val, err
 
 	c.mu.Lock()
-	delete(c.inflight, key)
+	delete(c.inflight, s.key)
 	if err == nil {
-		c.insertLocked(key, val, cost)
+		c.insertLocked(s.key, val, cost)
 	}
 	c.mu.Unlock()
-	close(cl.done)
+	close(s.cl.done)
 	return val, err
 }
 

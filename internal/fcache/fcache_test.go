@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ir"
 )
@@ -232,6 +233,51 @@ func TestConcurrentSameKeyComputesOnce(t *testing.T) {
 	}
 	if s.FrontendMisses != 1 {
 		t.Errorf("misses = %d, want 1 (the single computation)", s.FrontendMisses)
+	}
+}
+
+// TestClaimFrontendMakesLaterCallersWait: once ClaimFrontend has taken the
+// slot, a Frontend call for the same source waits for the claimed build
+// instead of running its own — and when the claimed build fails, the waiter
+// gets an entry from its own builder rather than the error it cannot return.
+func TestClaimFrontendMakesLaterCallersWait(t *testing.T) {
+	c := New(1 << 20)
+	waitForWaiters := func(n int64) {
+		t.Helper()
+		for c.Stats().InflightWaits < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	later := func(h SourceHash, e *FrontendEntry) <-chan *FrontendEntry {
+		out := make(chan *FrontendEntry, 1)
+		go func() { out <- c.Frontend(h, func() (*FrontendEntry, int64) { return e, 64 }) }()
+		return out
+	}
+
+	claimed, own := &FrontendEntry{}, &FrontendEntry{}
+	h := HashSource([]byte("claimed"))
+	run := c.ClaimFrontend(h, func() (*FrontendEntry, int64, error) { return claimed, 64, nil })
+	got := later(h, own)
+	waitForWaiters(1)
+	if e, err := run(); err != nil || e != claimed {
+		t.Fatalf("claimed build: %v, %v", e, err)
+	}
+	if e := <-got; e != claimed {
+		t.Error("a Frontend call after the claim built its own entry")
+	}
+
+	h = HashSource([]byte("failed"))
+	run = c.ClaimFrontend(h, func() (*FrontendEntry, int64, error) { return nil, 0, errors.New("cancelled") })
+	got = later(h, own)
+	waitForWaiters(2)
+	if _, err := run(); err == nil {
+		t.Fatal("the failing claimed build returned no error")
+	}
+	if e := <-got; e != own {
+		t.Error("the waiter on a failed claim did not fall back to its own builder")
+	}
+	if s := c.Stats(); s.FrontendMisses != 2 {
+		t.Errorf("misses = %d, want 2 (one per claim)", s.FrontendMisses)
 	}
 }
 

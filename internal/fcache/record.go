@@ -9,13 +9,13 @@ import (
 )
 
 // Checksummed record framing, shared by everything that persists or ships a
-// cache artifact as one opaque blob: the disk tier's object files (disk.go),
-// the cost-sample window (samples.go), and the peer-cache fetch replies
-// (internal/peercache). A record binds a payload to the full cache key it
-// was stored under and carries a checksum over both, so a filename
-// collision, a misaddressed fetch reply, or a flipped bit is detected as
-// corruption at the frame — before any payload bytes are interpreted —
-// and degrades to a cache miss instead of poisoning a compilation.
+// cache artifact as one opaque blob: the disk tier's object files (disk.go)
+// and the peer-cache fetch replies (internal/peercache). A record binds a
+// payload to the full cache key it was stored under and carries a checksum
+// over both, so a filename collision, a misaddressed fetch reply, or a
+// flipped bit is detected as corruption at the frame — before any payload
+// bytes are interpreted — and degrades to a cache miss instead of
+// poisoning a compilation.
 //
 // The frame is a gob-encoded diskRecord{Key, Payload, Sum} with
 // Sum = SHA-256(Key || Payload). The name predates the peer protocol: the

@@ -9,7 +9,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/sem"
 	"repro/internal/source"
-	"repro/internal/types"
 )
 
 func lower(t *testing.T, src string) (map[string]*ir.Func, map[string]*ast.FuncDecl, *sem.Info) {
@@ -489,5 +488,3 @@ section 1 {
 		}
 	}
 }
-
-var _ = types.Int // keep types import for kindsSane references in this file

@@ -1,165 +1,13 @@
-// Self-tuning cost model: the static estimator (EstimateCost) seeds the
-// scheduler on a cold start, and every completed compile contributes an
-// observed (shape → seconds) sample. Fit runs a small least-squares over the
-// sample window and replaces the static coefficients whenever the fitted
-// model orders the recorded work at least as well (Spearman) as the static
-// formula — so LPT seeding and steal ordering sharpen with every build, and
-// a degenerate fit can never make scheduling worse.
 package sched
 
-import "math"
+// Model is the static cost estimator behind a type. It has no fields and
+// prices every task with EstimateCost; it remains only because the
+// benchmark harness calls StaticModel().Costs, and goes once that caller
+// calls Costs directly.
+type Model struct{}
 
-// CostSample records one observed function compile: the shape features the
-// estimator sees and the measured cost in seconds.
-type CostSample struct {
-	Lines     int
-	LoopDepth int
-	Section   int
-	Seconds   float64
-}
-
-// Model prices tasks. The zero value (Fitted=false) is the static paper
-// heuristic; a fitted model prices cost = A·lines + B·lines·(depth−1),
-// rescaled so its magnitudes stay comparable with static costs (batch
-// thresholds are calibrated against the static scale).
-type Model struct {
-	A, B   float64
-	Fitted bool
-}
-
-// StaticModel returns the untuned paper heuristic.
+// StaticModel returns the paper's estimator.
 func StaticModel() Model { return Model{} }
 
-// features returns the fitted model's two regressors for a task shape.
-func features(lines, depth int) (x1, x2 float64) {
-	if depth < 1 {
-		depth = 1
-	}
-	l := float64(lines)
-	return l, l * float64(depth-1)
-}
-
-// Estimate prices one task under the model. A fitted model that prices a
-// task at or below zero (possible when the fit extrapolates outside the
-// sample window) falls back to the static estimate for that task.
-func (m Model) Estimate(t Task) float64 {
-	if !m.Fitted {
-		return EstimateCost(t)
-	}
-	x1, x2 := features(t.Lines, t.LoopDepth)
-	c := m.A*x1 + m.B*x2
-	if c <= 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-		return EstimateCost(t)
-	}
-	return c
-}
-
-// Costs evaluates the model once per task.
-func (m Model) Costs(tasks []Task) []Costed {
-	out := make([]Costed, len(tasks))
-	for i, t := range tasks {
-		out[i] = Costed{Task: t, Cost: m.Estimate(t)}
-	}
-	return out
-}
-
-// sampleEstimate prices a recorded sample's shape under the model.
-func (m Model) sampleEstimate(s CostSample) float64 {
-	return m.Estimate(Task{Lines: s.Lines, LoopDepth: s.LoopDepth, Section: s.Section})
-}
-
-// SampleRankCorr reports how well the model orders the recorded samples:
-// the Spearman rank correlation between model predictions and observed
-// seconds. Fewer than 3 samples is noise and returns NaN.
-func (m Model) SampleRankCorr(samples []CostSample) float64 {
-	if len(samples) < 3 {
-		return math.NaN()
-	}
-	pred := make([]float64, len(samples))
-	act := make([]float64, len(samples))
-	for i, s := range samples {
-		pred[i] = m.sampleEstimate(s)
-		act[i] = s.Seconds
-	}
-	return RankCorrelation(pred, act)
-}
-
-// Fit tunes the cost model to a window of observed samples by least squares
-// over the two shape features (lines, lines·(depth−1)). It is deliberately
-// conservative:
-//
-//   - fewer than 3 samples → static (a 2-parameter fit through ≤2 points is
-//     exact and meaningless);
-//   - a singular system (e.g. every sample at loop depth 1 makes the second
-//     feature identically zero) fits the lines coefficient alone and keeps
-//     the static depth ratio;
-//   - the fitted coefficients are rescaled so the mean fitted cost over the
-//     window equals the mean static cost — downstream batch thresholds are
-//     calibrated to the static scale;
-//   - if the fitted model ranks the window worse than the static formula
-//     (Spearman), Fit returns the static model unchanged.
-func Fit(samples []CostSample) Model {
-	if len(samples) < 3 {
-		return StaticModel()
-	}
-	var s11, s12, s22, s1y, s2y float64
-	for _, s := range samples {
-		if s.Lines <= 0 || s.Seconds <= 0 ||
-			math.IsNaN(s.Seconds) || math.IsInf(s.Seconds, 0) {
-			continue
-		}
-		x1, x2 := features(s.Lines, s.LoopDepth)
-		s11 += x1 * x1
-		s12 += x1 * x2
-		s22 += x2 * x2
-		s1y += x1 * s.Seconds
-		s2y += x2 * s.Seconds
-	}
-	if s11 == 0 {
-		return StaticModel()
-	}
-	var a, b float64
-	det := s11*s22 - s12*s12
-	if det > 1e-9*s11*math.Max(s22, 1) {
-		a = (s22*s1y - s12*s2y) / det
-		b = (s11*s2y - s12*s1y) / det
-	} else {
-		// Colinear features: fit lines alone, keep the static model's
-		// linearized depth slope (1.3^(d-1) ≈ 1 + 0.3·(d-1)) relative to it.
-		a = s1y / s11
-		b = 0.3 * a
-	}
-	if a <= 0 || math.IsNaN(a) || math.IsNaN(b) {
-		return StaticModel()
-	}
-
-	m := Model{A: a, B: b, Fitted: true}
-
-	// Rescale to the static magnitude so thresholds calibrated against
-	// line-count costs keep meaning the same thing.
-	var fitMean, staticMean float64
-	n := 0
-	for _, s := range samples {
-		if s.Lines <= 0 {
-			continue
-		}
-		fitMean += m.sampleEstimate(s)
-		staticMean += EstimateCost(Task{Lines: s.Lines, LoopDepth: s.LoopDepth})
-		n++
-	}
-	if n == 0 || fitMean <= 0 {
-		return StaticModel()
-	}
-	scale := staticMean / fitMean
-	m.A *= scale
-	m.B *= scale
-
-	// Never regress: the fitted model must order the observed work at least
-	// as well as the static formula, or we keep the static formula.
-	fitted := m.SampleRankCorr(samples)
-	static := StaticModel().SampleRankCorr(samples)
-	if math.IsNaN(fitted) || fitted < static {
-		return StaticModel()
-	}
-	return m
-}
+// Costs evaluates the estimator once per task, like the package-level Costs.
+func (Model) Costs(tasks []Task) []Costed { return Costs(tasks) }

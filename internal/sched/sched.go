@@ -231,7 +231,7 @@ func Plan(tasks []Task, threshold float64, nproc int) []Unit {
 }
 
 // PlanCosted is Plan over tasks whose costs are already evaluated — the
-// estimator (static or fitted) runs exactly once per task, never again per
+// estimator runs exactly once per task, never again per
 // comparison or per unit.
 func PlanCosted(costed []Costed, threshold float64, nproc int) []Unit {
 	if nproc < 1 {
