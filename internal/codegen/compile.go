@@ -26,7 +26,6 @@ type GenStats struct {
 	LoopsSeen      int
 	LoopsPipelined int
 	PipelineII     int // sum of achieved IIs (for averaging)
-	PipelineTrials int // scheduling attempts across II values (work metric)
 }
 
 // Generate runs phase 3 on an optimized, inlined, inverted IR function and
@@ -53,7 +52,6 @@ func Generate(f *ir.Func, isEntry bool, opts Options) (*PFunc, GenStats, error) 
 		if !opts.DisablePipelining && b.SelfLoop && b.Loop != nil && len(b.Ops) > 0 {
 			exitLabel := b.Ops[len(b.Ops)-1].Sym
 			blocks, res := TryPipeline(pf, b, exitLabel)
-			st.PipelineTrials += res.II // rough: proportional to the search
 			if res.Applied {
 				st.LoopsPipelined++
 				st.PipelineII += res.II
