@@ -807,36 +807,28 @@ func placeControl(body []POp, sched []int, ii int) (int, int, bool) {
 
 // emitPipelined builds the prologue, kernel and epilogue blocks.
 func emitPipelined(b *PBlock, body []POp, sched []int, ii, stages, trip, s1, s2 int, exitLabel string) []*PBlock {
-	kernLabel := b.Label + ".kern"
 	rounds := trip - (stages - 1)
-
-	place := func(words []machine.Word, op *POp, w int) {
-		u := machine.Info(op.Op).Unit
-		words[w][u] = toInstr(op)
-	}
 
 	// Prologue: two leading words initialize the kernel-round counter and
 	// the -1 decrement constant, then (stages-1)*II pipeline-fill words.
 	const lead = 2
-	proLen := (stages-1)*ii + lead
-	pro := make([]machine.Word, proLen)
-	pro[0][machine.ALU] = machine.Instr{Op: machine.LDI, Dst: scratch1, Imm: int32(rounds)}
-	pro[1][machine.ALU] = machine.Instr{Op: machine.LDI, Dst: scratchM1Reg, Imm: -1}
+	pro := &PBlock{Label: b.Label, Scheduled: make([]machine.Word, (stages-1)*ii+lead)}
+	pro.place(0, &POp{Op: machine.LDI, Dst: scratch1, Imm: int32(rounds)})
+	pro.place(1, &POp{Op: machine.LDI, Dst: scratchM1Reg, Imm: -1})
 	for i := range body {
 		t := sched[i]
 		for p := t; p < (stages-1)*ii; p += ii {
-			place(pro, &body[i], p+lead)
+			pro.place(p+lead, &body[i])
 		}
 	}
 
 	// Kernel: II words; op i at slot sched[i] mod II; counter chain and the
 	// loop-back branch overlaid on the reserved slots.
-	kern := make([]machine.Word, ii)
+	kern := &PBlock{Label: b.Label + ".kern", Scheduled: make([]machine.Word, ii)}
 	for i := range body {
-		place(kern, &body[i], sched[i]%ii)
+		kern.place(sched[i]%ii, &body[i])
 	}
 	fixupCounter(kern, s1, s2, ii)
-	kern[ii-1][machine.CTRL].Sym = kernLabel
 
 	// Epilogue: (stages-1)*II drain words; the exit jump waits until every
 	// in-flight result (from the epilogue itself and from the final kernel
@@ -860,20 +852,16 @@ func emitPipelined(b *PBlock, body []POp, sched []int, ii, stages, trip, s1, s2 
 			}
 		}
 	}
-	epi := make([]machine.Word, jmpWord+1)
+	epi := &PBlock{Label: b.Label + ".epi", Scheduled: make([]machine.Word, jmpWord+1)}
 	for i := range body {
 		t := sched[i]
 		for e := t - ii; e >= 0; e -= ii {
 			// Epilogue word e holds ops with sched ≡ e (mod II), sched ≥ e+II.
-			place(epi, &body[i], e)
+			epi.place(e, &body[i])
 		}
 	}
-	epi[jmpWord][machine.CTRL] = machine.Instr{Op: machine.JMP, Sym: exitLabel}
-
-	proB := &PBlock{Label: b.Label, Scheduled: pro}
-	kernB := &PBlock{Label: kernLabel, Scheduled: kern}
-	epiB := &PBlock{Label: b.Label + ".epi", Scheduled: epi}
-	return []*PBlock{proB, kernB, epiB}
+	epi.place(jmpWord, &POp{Op: machine.JMP, Sym: exitLabel})
+	return []*PBlock{pro, kern, epi}
 }
 
 // fixupCounter writes the real counter chain into the kernel:
@@ -885,10 +873,10 @@ func emitPipelined(b *PBlock, body []POp, sched []int, ii, stages, trip, s1, s2 
 // The machine has no subtract-immediate, so the prologue loads -1 into
 // scratch3 once; TryPipeline rejects loops whose body touches any scratch
 // register, so all three survive across kernel rounds.
-func fixupCounter(kern []machine.Word, s1, s2, ii int) {
-	kern[s1][machine.ALU] = machine.Instr{Op: machine.IADD, Dst: scratch1, A: scratch1, B: scratchM1Reg}
-	kern[s2][machine.ALU] = machine.Instr{Op: machine.ICMPGT, Dst: scratch2, A: scratch1, B: machine.RZero}
-	kern[ii-1][machine.CTRL] = machine.Instr{Op: machine.BT, A: scratch2, Sym: ""} // Sym set by caller
+func fixupCounter(kern *PBlock, s1, s2, ii int) {
+	kern.place(s1, &POp{Op: machine.IADD, Dst: scratch1, A: scratch1, B: scratchM1Reg})
+	kern.place(s2, &POp{Op: machine.ICMPGT, Dst: scratch2, A: scratch1, B: machine.RZero})
+	kern.place(ii-1, &POp{Op: machine.BT, A: scratch2, Sym: kern.Label})
 }
 
 // scratchM1Reg holds the constant -1 for the kernel counter decrement. It

@@ -33,7 +33,12 @@ type POp struct {
 }
 
 func (p POp) String() string {
-	return machine.Instr{Op: p.Op, Dst: p.Dst, A: p.A, B: p.B, Imm: p.Imm, Sym: p.Sym}.String()
+	return p.instr().StringSym(p.Sym)
+}
+
+// instr is the encodable part of p: everything but its symbol.
+func (p *POp) instr() machine.Instr {
+	return machine.Instr{Op: p.Op, Dst: p.Dst, A: p.A, B: p.B, Imm: p.Imm}
 }
 
 // PBlock is a block of physical-register operations.
@@ -44,8 +49,29 @@ type PBlock struct {
 	Loop      *LoopInfo
 	HasSpills bool // spill code present; disqualifies software pipelining
 	// Scheduled holds the block's final instruction words once a scheduler
-	// has placed the ops.
+	// has placed the ops, and Syms the symbolic operands of those words'
+	// slots, which the assembler turns into relocations.
 	Scheduled []machine.Word
+	Syms      []SlotSym
+}
+
+// SlotSym is the symbolic operand of one slot of a scheduled block: a branch
+// label or a function-local data symbol, resolved into the slot's Imm at
+// link time.
+type SlotSym struct {
+	Word int
+	Unit machine.Unit
+	Sym  string
+}
+
+// place puts op into its unit's slot of word w of b.Scheduled and records
+// its symbol, if it has one. Every scheduler fills a block through it.
+func (b *PBlock) place(w int, op *POp) {
+	u := machine.Info(op.Op).Unit
+	b.Scheduled[w][u] = op.instr()
+	if op.Sym != "" {
+		b.Syms = append(b.Syms, SlotSym{Word: w, Unit: u, Sym: op.Sym})
+	}
 }
 
 // PFunc is the allocated function.

@@ -288,30 +288,23 @@ func ScheduleBlock(b *PBlock) (int, error) {
 	if n == 0 && len(ctrl) == 0 {
 		length = 0
 	}
-	words := make([]machine.Word, length)
+	b.Scheduled = make([]machine.Word, length)
+	b.Syms = nil
 	for i := 0; i < n; i++ {
-		u := machine.Info(body[i].Op).Unit
-		words[sched[i]][u] = toInstr(&body[i])
+		b.place(sched[i], &body[i])
 	}
-	if len(ctrl) >= 1 {
-		words[branchCycle][machine.CTRL] = toInstr(&ctrl[0])
+	for k := range ctrl {
+		b.place(branchCycle+k, &ctrl[k])
 	}
-	if len(ctrl) == 2 {
-		words[branchCycle+1][machine.CTRL] = toInstr(&ctrl[1])
-	}
-	b.Scheduled = words
-	return len(words), nil
-}
-
-func toInstr(op *POp) machine.Instr {
-	return machine.Instr{Op: op.Op, Dst: op.Dst, A: op.A, B: op.B, Imm: op.Imm, Sym: op.Sym}
+	return length, nil
 }
 
 // SequentialBlock emits one op per word in program order — the unscheduled
 // baseline used by the compile-speed/quality ablation benchmarks.
 func SequentialBlock(b *PBlock) int {
 	body := b.Ops
-	words := make([]machine.Word, 0, len(body))
+	b.Scheduled = make([]machine.Word, 0, len(body))
+	b.Syms = nil
 	cycle := 0
 	lastCommit := 0
 	for i := range body {
@@ -319,17 +312,15 @@ func SequentialBlock(b *PBlock) int {
 		info := machine.Info(op.Op)
 		// Naive code: wait until everything before has committed.
 		for cycle < lastCommit {
-			words = append(words, machine.Word{})
+			b.Scheduled = append(b.Scheduled, machine.Word{})
 			cycle++
 		}
-		var w machine.Word
-		w[info.Unit] = toInstr(op)
-		words = append(words, w)
+		b.Scheduled = append(b.Scheduled, machine.Word{})
+		b.place(cycle, op)
 		if c := cycle + info.Latency; c > lastCommit {
 			lastCommit = c
 		}
 		cycle++
 	}
-	b.Scheduled = words
-	return len(words)
+	return len(b.Scheduled)
 }

@@ -47,9 +47,9 @@ func TestCompileAllocationBudget(t *testing.T) {
 		src      []byte
 		measured uint64 // bytes, when the budget was committed
 	}{
-		{"mixed12", wgen.MixedProgram(12), 7_911_424},
-		{"wide12x4", wgen.WideProgram(12, 4), 20_014_272},
-		{"smallfuncs256", wgen.SmallFuncsProgram(256), 19_624_560},
+		{"mixed12", wgen.MixedProgram(12), 5_822_880},
+		{"wide12x4", wgen.WideProgram(12, 4), 14_803_584},
+		{"smallfuncs256", wgen.SmallFuncsProgram(256), 16_195_888},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			budget := tc.measured + tc.measured/10

@@ -257,19 +257,25 @@ const (
 	ReturnStackDepth = 64
 )
 
-// Instr is one operation in a unit slot of an instruction word.
+// Instr is one operation in a unit slot of an instruction word: exactly
+// the fields of one encoded W2OB slot, 8 bytes and no pointers. A branch
+// target or data symbol is not part of the instruction: before linking it
+// travels beside the scheduled words (codegen.PBlock.Syms, then the
+// object's relocations), and the linker resolves it into Imm.
 type Instr struct {
 	Op  Opcode
 	Dst Reg
 	A   Reg
 	B   Reg
 	Imm int32
-	// Sym is the symbolic branch/call target or data symbol before linking;
-	// the linker resolves it into Imm.
-	Sym string
 }
 
-func (i Instr) String() string {
+func (i Instr) String() string { return i.StringSym("") }
+
+// StringSym renders i as String does, with @sym in place of the immediate
+// when sym is not empty: how an operation reads before its symbol is
+// resolved.
+func (i Instr) StringSym(sym string) string {
 	info := Info(i.Op)
 	s := info.Name
 	if info.HasDst {
@@ -282,8 +288,8 @@ func (i Instr) String() string {
 		s += " " + i.B.String()
 	}
 	if info.HasImm {
-		if i.Sym != "" {
-			s += " @" + i.Sym
+		if sym != "" {
+			s += " @" + sym
 		} else {
 			s += fmt.Sprintf(" #%d", i.Imm)
 		}

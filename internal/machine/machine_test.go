@@ -2,8 +2,10 @@ package machine
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpInfoComplete(t *testing.T) {
@@ -108,9 +110,12 @@ func TestWordString(t *testing.T) {
 }
 
 func TestInstrSymbolicTarget(t *testing.T) {
-	in := Instr{Op: CALL, Sym: "helper"}
-	if in.String() != "call @helper" {
-		t.Errorf("got %q", in.String())
+	in := Instr{Op: CALL}
+	if got := in.StringSym("helper"); got != "call @helper" {
+		t.Errorf("got %q", got)
+	}
+	if got := in.StringSym(""); got != in.String() || got != "call #0" {
+		t.Errorf("StringSym(\"\") = %q, String() = %q", got, in.String())
 	}
 	in2 := Instr{Op: JMP, Imm: 42}
 	if in2.String() != "jmp #42" {
@@ -143,4 +148,34 @@ func TestRegZero(t *testing.T) {
 	if RZero != 0 || RZero.String() != "r0" {
 		t.Error("r0 must be the zero register")
 	}
+}
+
+// TestWordLayout pins the instruction word's size and keeps it pointer-free:
+// a Word is exactly its NumUnits encoded 8-byte slots, so a code array is
+// 48 bytes a word and the garbage collector never scans it.
+func TestWordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 8 {
+		t.Errorf("Instr is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(Word{}); got != 48 {
+		t.Errorf("Word is %d bytes, want 48", got)
+	}
+	var walk func(reflect.Type, string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(f.Type, path+"."+f.Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s, which may hold a pointer", path, typ.Kind())
+		}
+	}
+	walk(reflect.TypeOf(Word{}), "Word")
 }
