@@ -102,10 +102,7 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 	// distinct loop temporaries may share a physical register, creating
 	// false cross-iteration recurrences that inflate II. Rename each purely
 	// local temporary chain to its own free register.
-	renamed := renameLoopTemps(pf, b, body)
-	if DebugHook != nil {
-		DebugHook("renamed %d loop temporaries", renamed)
-	}
+	renameLoopTemps(pf, b, body)
 
 	edges := moduloDeps(body)
 	g := newModGraph(body, edges)
@@ -149,16 +146,10 @@ func TryPipeline(pf *PFunc, b *PBlock, exitLabel string) ([]*PBlock, PipelineRes
 			// to list scheduling (correctness is unaffected).
 			budgetFails++
 		}
-		if DebugHook != nil {
-			DebugHook("ii=%d schedOK=%v sched=%v", ii, ok, sched)
-		}
 		if !ok {
 			continue
 		}
 		if !lifetimesFit(body, edges, sched, ii) {
-			if DebugHook != nil {
-				DebugHook("ii=%d lifetimes do not fit", ii)
-			}
 			continue
 		}
 		maxT := 0
@@ -641,9 +632,6 @@ func (g *modGraph) schedule(ii int) ([]int, bool, bool) {
 
 	for len(worklist) > 0 {
 		if budget == 0 {
-			if DebugHook != nil {
-				DebugHook("  budget exhausted at ii=%d", ii)
-			}
 			return nil, false, true
 		}
 		budget--
@@ -691,9 +679,6 @@ func (g *modGraph) schedule(ii int) ([]int, bool, bool) {
 					unreserve(victim)
 					placed[victim] = false
 					push(victim)
-					if DebugHook != nil {
-						DebugHook("    op %d force@%d evicts op %d (resource)", i, t, victim)
-					}
 				}
 			}
 			reserve(i, t, true)
@@ -702,9 +687,6 @@ func (g *modGraph) schedule(ii int) ([]int, bool, bool) {
 		}
 		everPlaced[i] = true
 		lastTime[i] = sched[i]
-		if DebugHook != nil {
-			DebugHook("    placed op %d at t=%d (worklist %d)", i, sched[i], len(worklist))
-		}
 		// Scheduling i may violate successors already placed; evict them.
 		for _, se := range g.succsOf(i) {
 			if placed[se.to] && se.to != i {
@@ -712,9 +694,6 @@ func (g *modGraph) schedule(ii int) ([]int, bool, bool) {
 					unreserve(se.to)
 					placed[se.to] = false
 					push(se.to)
-					if DebugHook != nil {
-						DebugHook("    op %d evicts succ op %d (edge delay=%d dist=%d)", i, se.to, se.delay, se.dist)
-					}
 				}
 			}
 		}
@@ -740,9 +719,6 @@ func (g *modGraph) schedule(ii int) ([]int, bool, bool) {
 	// Final verification of every edge.
 	for _, e := range edges {
 		if sched[e.to] < sched[e.from]+e.delay-e.dist*ii {
-			if DebugHook != nil {
-				DebugHook("  edge violated ii=%d: %d->%d delay=%d dist=%d sched=%v", ii, e.from, e.to, e.delay, e.dist, sched)
-			}
 			return nil, false, false
 		}
 	}
@@ -884,18 +860,14 @@ func fixupCounter(kern *PBlock, s1, s2, ii int) {
 // pipelined loops and never read.
 const scratchM1Reg = scratch3
 
-// DebugHook, when non-nil, receives trace lines from the pipeliner's II
-// search. Used only by tests.
-var DebugHook func(format string, args ...any)
-
 // renameLoopTemps gives each def-use chain of a loop-local temporary its own
 // physical register, provided the register is not referenced anywhere
 // outside the loop body and is not read before its first definition inside
-// it (those are genuine loop-carried values). Returns the number of chains
-// renamed. body must be a private copy of the loop's non-control ops.
-func renameLoopTemps(pf *PFunc, b *PBlock, body []POp) int {
+// it (those are genuine loop-carried values). body must be a private copy
+// of the loop's non-control ops.
+func renameLoopTemps(pf *PFunc, b *PBlock, body []POp) {
 	if pf == nil {
-		return 0
+		return
 	}
 	// Registers referenced anywhere outside this block are off limits, and
 	// so are registers free nowhere.
@@ -929,7 +901,6 @@ func renameLoopTemps(pf *PFunc, b *PBlock, body []POp) int {
 		}
 	}
 
-	renamed := 0
 	for _, r := range candidateTemps(body) {
 		if usedElsewhere[r.reg] {
 			continue
@@ -938,7 +909,7 @@ func renameLoopTemps(pf *PFunc, b *PBlock, body []POp) int {
 		// gets a fresh register, and its uses up to the next def follow.
 		for ci := range r.chains {
 			if len(pool) == 0 {
-				return renamed
+				return
 			}
 			fresh := pool[len(pool)-1]
 			pool = pool[:len(pool)-1]
@@ -953,10 +924,8 @@ func renameLoopTemps(pf *PFunc, b *PBlock, body []POp) int {
 					body[u].B = fresh
 				}
 			}
-			renamed++
 		}
 	}
-	return renamed
 }
 
 type tempChain struct {

@@ -1,9 +1,7 @@
 package fcache
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -25,11 +23,11 @@ const DefaultHardCapFactor = 2
 // diskTier persists object-tier entries as content-addressed files so a
 // fresh process over the same directory starts warm. Layout and protocol:
 //
-//   - Each entry is one file named o-<sha256hex(cache key)>.wfc holding a
-//     checksummed record (record.go) framing the gob-encoded ObjectEntry
-//     under its full cache key (so a filename collision can never alias).
-//     A record whose checksum or key does not match is corrupt: it is
-//     deleted and reported as a miss, and the function is simply recompiled.
+//   - Each entry is one file named o-<sha256hex(cache key)>.wfc holding the
+//     entry's checksummed record (EncodeEntry, record.go), which names its
+//     full cache key (so a filename collision can never alias). A record
+//     that fails DecodeEntry — bad magic, checksum or key — is corrupt: it
+//     is deleted and reported as a miss, and the function is recompiled.
 //   - Writes go to an os.CreateTemp("tmp-*") file in the same directory and
 //     are renamed into place, so readers only ever observe complete records.
 //     A crash mid-write leaves a tmp-* file that no reader looks at; opening
@@ -144,19 +142,10 @@ func (d *diskTier) load(key string) (*ObjectEntry, bool, error) {
 		d.forget(name)
 		return nil, false, nil // miss (possibly evicted by another process)
 	}
-	gotKey, payload, err := DecodeRecord(data)
+	e, err := DecodeEntry(key, data)
 	if err != nil {
 		d.discard(name)
 		return nil, false, fmt.Errorf("disk cache: %s: %v", name, err)
-	}
-	if gotKey != key {
-		d.discard(name)
-		return nil, false, fmt.Errorf("disk cache: key mismatch in %s", name)
-	}
-	var e ObjectEntry
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&e); err != nil {
-		d.discard(name)
-		return nil, false, fmt.Errorf("disk cache: undecodable entry %s: %v", name, err)
 	}
 	now := time.Now()
 	os.Chtimes(path, now, now) // mtime is the access time for eviction
@@ -169,7 +158,7 @@ func (d *diskTier) load(key string) (*ObjectEntry, bool, error) {
 		d.used += int64(len(data))
 	}
 	d.mu.Unlock()
-	return &e, true, nil
+	return e, true, nil
 }
 
 // store writes the entry for key unless already present. It returns whether
@@ -187,14 +176,7 @@ func (d *diskTier) store(key string, e *ObjectEntry) (written bool, evicted int6
 		return false, 0, nil // another process beat us to it
 	}
 
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return false, 0, err
-	}
-	data, err := EncodeRecord(key, payload.Bytes())
-	if err != nil {
-		return false, 0, err
-	}
+	data := EncodeEntry(key, e)
 	if int64(len(data)) > d.max {
 		return false, 0, nil // larger than the whole tier: never persisted
 	}

@@ -166,16 +166,14 @@ func TestDiskSizeCapEvictsOldest(t *testing.T) {
 }
 
 // TestDiskLeavesForeignFilesAlone: the tier owns only the o-*.wfc
-// namespace. Any other file in the directory — here the cost-samples.wfc
-// record that older binaries wrote beside the objects — is neither indexed,
-// counted in used, nor evicted, across opens and eviction pressure alike.
+// namespace. Any other file in the directory — here a cost-samples.wfc
+// file like the one older binaries wrote beside the objects — is neither
+// indexed, counted in used, nor evicted, across opens and eviction pressure
+// alike.
 func TestDiskLeavesForeignFilesAlone(t *testing.T) {
 	dir := t.TempDir()
 	foreign := filepath.Join(dir, "cost-samples.wfc")
-	want, err := EncodeRecord("cost-samples/v1", bytes.Repeat([]byte{3}, 3<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := bytes.Repeat([]byte{3}, 3<<10)
 	if err := os.WriteFile(foreign, want, 0o666); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestDiskEvictionRacesPeerFetch(t *testing.T) {
 				for _, key := range keys {
 					if e, ok := reader.LocalObject(key); ok {
 						// A hit must be the complete entry: right name,
-						// right body. DecodeRecord already rejected any
+						// right body. DecodeEntry already rejected any
 						// torn read; this checks nothing was aliased.
 						var want byte
 						fmt.Sscanf(e.Name, "f%d", &want)

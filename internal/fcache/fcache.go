@@ -250,8 +250,10 @@ type FrontendEntry struct {
 // function master's complete warning list (frontend warnings owned by the
 // function plus phase-2/3 warnings, pre-rendered in emission order).
 //
-// Entries are shared and immutable. Exported fields are the persisted
-// surface (gob); the decoded object is reconstructed lazily and memoized.
+// Entries are shared and immutable. The exported fields are what persists:
+// EncodeEntry and DecodeEntry (record.go) are the one byte form, used by
+// the disk tier and the peer protocol alike. The decoded object is
+// reconstructed lazily and memoized.
 type ObjectEntry struct {
 	Name        string
 	Section     int

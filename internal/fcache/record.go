@@ -1,68 +1,119 @@
 package fcache
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 )
 
-// Checksummed record framing, shared by everything that persists or ships a
-// cache artifact as one opaque blob: the disk tier's object files (disk.go)
-// and the peer-cache fetch replies (internal/peercache). A record binds a
-// payload to the full cache key it was stored under and carries a checksum
-// over both, so a filename collision, a misaddressed fetch reply, or a
-// flipped bit is detected as corruption at the frame — before any payload
-// bytes are interpreted — and degrades to a cache miss instead of
-// poisoning a compilation.
+// The object record is the one byte form of a finished function (an
+// ObjectEntry): the disk tier's file contents and the peer protocol's fetch
+// payload. A peer reply is therefore verified by exactly the code that
+// verifies a disk read. The record binds the entry to the full cache key it
+// was stored under and ends in a checksum over every byte before it, so a
+// filename collision, a misaddressed fetch reply, a torn write or a flipped
+// bit is rejected before any field is trusted, and degrades to a cache miss
+// instead of poisoning a compilation.
 //
-// The frame is a gob-encoded diskRecord{Key, Payload, Sum} with
-// Sum = SHA-256(Key || Payload). The name predates the peer protocol: the
-// same frame now travels the wire unchanged, which is exactly the point —
-// a peer reply is verified with the same code that verifies a disk read.
-type diskRecord struct {
-	Key     string
-	Payload []byte
-	Sum     [sha256.Size]byte
+// Layout (integers little-endian, every length a uint32 byte count):
+//
+//	"W2E1"
+//	len key, key
+//	len Name, Name
+//	Section int64, Lines int64, IsEntry byte (0 or 1)
+//	count Warnings, then len w, w for each warning
+//	len ObjectBytes, ObjectBytes
+//	SHA-256 of everything above
+//
+// A file in any other layout, including the gob records of older binaries,
+// fails the magic check and is handled like any other corrupt entry.
+const recordMagic = "W2E1"
+
+// EncodeEntry writes e as the record stored under key, in one allocation.
+func EncodeEntry(key string, e *ObjectEntry) []byte {
+	n := len(recordMagic) + 4 + len(key) + 4 + len(e.Name) + 8 + 8 + 1 + 4 + 4 + len(e.ObjectBytes) + sha256.Size
+	for _, w := range e.Warnings {
+		n += 4 + len(w)
+	}
+	buf := make([]byte, 0, n)
+	buf = append(buf, recordMagic...)
+	buf = appendBytes(buf, key)
+	buf = appendBytes(buf, e.Name)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Section))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Lines))
+	if e.IsEntry {
+		buf = append(buf, 1)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Warnings)))
+	for _, w := range e.Warnings {
+		buf = appendBytes(buf, w)
+	}
+	buf = appendBytes(buf, e.ObjectBytes)
+	sum := sha256.Sum256(buf)
+	return append(buf, sum[:]...)
 }
 
-// recordSum computes the frame checksum binding key and payload.
-func recordSum(key string, payload []byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte(key))
-	h.Write(payload)
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum
+func appendBytes[T string | []byte](buf []byte, b T) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
+	return append(buf, b...)
 }
 
-// EncodeRecord frames payload under key: the returned bytes decode with
-// DecodeRecord on any process (or host) and fail loudly if damaged.
-func EncodeRecord(key string, payload []byte) ([]byte, error) {
-	rec := diskRecord{Key: key, Payload: payload}
-	rec.Sum = recordSum(rec.Key, rec.Payload)
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
-		return nil, err
+// DecodeEntry reads a record written by EncodeEntry and returns its entry,
+// provided the record is intact and was stored under key. Every length
+// prefix is checked against the bytes left before anything is allocated
+// for it. The entry's ObjectBytes alias data, which the caller must not
+// modify afterwards.
+func DecodeEntry(key string, data []byte) (*ObjectEntry, error) {
+	end := len(data) - sha256.Size
+	if end < len(recordMagic) || string(data[:len(recordMagic)]) != recordMagic {
+		return nil, errors.New("fcache: not an object record")
 	}
-	return buf.Bytes(), nil
-}
+	if sha256.Sum256(data[:end]) != [sha256.Size]byte(data[end:]) {
+		return nil, errors.New("fcache: record checksum mismatch")
+	}
+	rest, bad := data[len(recordMagic):end], false
+	next := func(n uint64) []byte {
+		if bad || n > uint64(len(rest)) {
+			bad = true
+			return nil
+		}
+		b := rest[:n:n]
+		rest = rest[n:]
+		return b
+	}
+	num := func(width uint64) (v uint64) { // little-endian
+		for i, c := range next(width) {
+			v |= uint64(c) << (8 * i)
+		}
+		return v
+	}
+	field := func() []byte { return next(num(4)) }
 
-// DecodeRecord verifies a frame produced by EncodeRecord and returns the
-// key it was stored under and the payload. Any mismatch — undecodable gob,
-// checksum failure — is an error; the caller must additionally check that
-// the returned key is the one it asked for (a valid record can still answer
-// the wrong question, e.g. after a filename collision).
-func DecodeRecord(data []byte) (key string, payload []byte, err error) {
-	var rec diskRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return "", nil, fmt.Errorf("fcache: undecodable record: %v", err)
+	if string(field()) != key {
+		return nil, fmt.Errorf("fcache: record is not stored under %q", key)
 	}
-	if rec.Sum != recordSum(rec.Key, rec.Payload) {
-		return "", nil, fmt.Errorf("fcache: record checksum mismatch for key %q", rec.Key)
+	e := &ObjectEntry{Name: string(field()), Section: int(num(8)), Lines: int(num(8))}
+	flag := num(1)
+	e.IsEntry = flag == 1
+	// A warning takes at least its 4-byte length, so a count beyond the
+	// bytes left is rejected before the slice is made.
+	if nw := num(4); nw > uint64(len(rest)/4) {
+		bad = true
+	} else if nw > 0 {
+		e.Warnings = make([]string, nw)
+		for i := range e.Warnings {
+			e.Warnings[i] = string(field())
+		}
 	}
-	return rec.Key, rec.Payload, nil
+	e.ObjectBytes = field()
+	if bad || flag > 1 || len(rest) != 0 {
+		return nil, errors.New("fcache: malformed object record")
+	}
+	return e, nil
 }
 
 // KeyDigest is the content address of a cache key itself: the SHA-256 the

@@ -3,87 +3,110 @@ package fcache
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// recordCases are entries that exercise every field of the record: empty
+// and long strings, negative and large integers, no warnings and several.
+var recordCases = []struct {
+	key string
+	e   *ObjectEntry
+}{
+	{"obj:abc:default", &ObjectEntry{Name: "f", Section: 1, Lines: 12, ObjectBytes: []byte("hello object bytes")}},
+	{"", &ObjectEntry{}},
+	{"obj:e:nopipe", &ObjectEntry{Name: "main", Section: -3, IsEntry: true, Lines: 1 << 40,
+		ObjectBytes: []byte{0, 1, 2, 255}, Warnings: []string{"w.w2:3:1: warning: unused", "", "second"}}},
+	{strings.Repeat("k", 4096), &ObjectEntry{Name: strings.Repeat("n", 300), ObjectBytes: bytes.Repeat([]byte{0xAA}, 1<<16)}},
+}
+
+// sameEntry compares the persisted fields of two entries.
+func sameEntry(a, b *ObjectEntry) bool {
+	return a.Name == b.Name && a.Section == b.Section && a.IsEntry == b.IsEntry && a.Lines == b.Lines &&
+		bytes.Equal(a.ObjectBytes, b.ObjectBytes) && slices.Equal(a.Warnings, b.Warnings)
+}
+
 func TestRecordRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		key     string
-		payload []byte
-	}{
-		{"obj:abc:default", []byte("hello object bytes")},
-		{"cost-samples/v1", nil},
-		{"", []byte{0, 1, 2, 255}},
-		{strings.Repeat("k", 4096), bytes.Repeat([]byte{0xAA}, 1<<16)},
-	} {
-		data, err := EncodeRecord(tc.key, tc.payload)
+	for _, tc := range recordCases {
+		data := EncodeEntry(tc.key, tc.e)
+		got, err := DecodeEntry(tc.key, data)
 		if err != nil {
-			t.Fatalf("EncodeRecord(%q): %v", tc.key, err)
+			t.Fatalf("DecodeEntry(%.20q): %v", tc.key, err)
 		}
-		key, payload, err := DecodeRecord(data)
-		if err != nil {
-			t.Fatalf("DecodeRecord(%q): %v", tc.key, err)
+		if !sameEntry(got, tc.e) {
+			t.Errorf("key %.20q: decoded %+v, want %+v", tc.key, got, tc.e)
 		}
-		if key != tc.key {
-			t.Errorf("key = %q, want %q", key, tc.key)
-		}
-		if !bytes.Equal(payload, tc.payload) {
-			t.Errorf("payload mismatch for key %q", tc.key)
+		if again := EncodeEntry(tc.key, got); !bytes.Equal(again, data) {
+			t.Errorf("key %.20q: the decoded entry re-encodes to different bytes", tc.key)
 		}
 	}
 }
 
+// TestRecordDetectsCorruption: the checksum covers every byte of the
+// record, so every single-byte change at every position is rejected.
 func TestRecordDetectsCorruption(t *testing.T) {
-	data, err := EncodeRecord("obj:k:default", []byte("payload payload payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip every byte position in turn: corruption must either fail
-	// verification or — when the flip lands in gob metadata the decoder
-	// ignores, e.g. the wire type name — decode to the exact original
-	// record. It must never hand back altered data as valid.
+	tc := recordCases[2]
+	data := EncodeEntry(tc.key, tc.e)
 	for i := range data {
-		bad := bytes.Clone(data)
-		bad[i] ^= 0x41
-		key, payload, err := DecodeRecord(bad)
-		if err != nil {
-			continue
-		}
-		if key != "obj:k:default" || !bytes.Equal(payload, []byte("payload payload payload")) {
-			t.Fatalf("flip at %d accepted with altered data: key=%q len(payload)=%d", i, key, len(payload))
+		for flip := 1; flip < 256; flip++ {
+			bad := bytes.Clone(data)
+			bad[i] ^= byte(flip)
+			if _, err := DecodeEntry(tc.key, bad); err == nil {
+				t.Fatalf("byte %d xor %#x accepted", i, flip)
+			}
 		}
 	}
 }
 
 func TestRecordDetectsTruncation(t *testing.T) {
-	data, err := EncodeRecord("obj:k:default", []byte("some payload"))
-	if err != nil {
+	tc := recordCases[2]
+	data := EncodeEntry(tc.key, tc.e)
+	for n := range data {
+		if _, err := DecodeEntry(tc.key, data[:n]); err == nil {
+			t.Fatalf("truncation to %d of %d bytes accepted", n, len(data))
+		}
+	}
+	if _, err := DecodeEntry(tc.key, append(bytes.Clone(data), 0)); err == nil {
+		t.Fatal("a trailing byte was accepted")
+	}
+}
+
+// TestRecordRejectsWrongKey: an intact record stored under one key does not
+// answer a lookup of another, so a filename collision or a misaddressed
+// peer reply is a miss.
+func TestRecordRejectsWrongKey(t *testing.T) {
+	data := EncodeEntry("obj:other:default", &ObjectEntry{Name: "x"})
+	if _, err := DecodeEntry("obj:other:default", data); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
-		if _, _, err := DecodeRecord(data[:n]); err == nil {
-			t.Errorf("truncation to %d bytes accepted", n)
+	for _, key := range []string{"obj:mine:default", "obj:other:defaul", ""} {
+		if _, err := DecodeEntry(key, data); err == nil {
+			t.Errorf("record for obj:other:default accepted under %q", key)
 		}
 	}
 }
 
-func TestRecordWrongKeyIsCallerChecked(t *testing.T) {
-	// A frame stored under one key is internally valid; the caller must
-	// compare the returned key against the one it asked for. Verify the
-	// returned key is trustworthy (bound by the checksum).
-	data, err := EncodeRecord("obj:other:default", []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, _, err := DecodeRecord(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "obj:other:default" {
-		t.Fatalf("key = %q", key)
+// TestRecordRejectsOverlongLengths: with the checksum recomputed, as a
+// hostile peer would, a length prefix or warning count larger than the
+// bytes left is still rejected, and without allocating for it.
+func TestRecordRejectsOverlongLengths(t *testing.T) {
+	for _, tc := range recordCases {
+		data := EncodeEntry(tc.key, tc.e)
+		for _, off := range LengthPrefixOffsets(tc.key, tc.e) {
+			left := len(data) - sha256.Size - off - 4
+			for _, n := range []uint32{uint32(left) + 1, 1<<32 - 1} {
+				bad := bytes.Clone(data)
+				binary.LittleEndian.PutUint32(bad[off:], n)
+				Resum(bad)
+				if _, err := DecodeEntry(tc.key, bad); err == nil {
+					t.Errorf("key %.20q: length %d at offset %d (%d bytes left) accepted", tc.key, n, off, left)
+				}
+			}
+		}
 	}
 }
 

@@ -125,18 +125,6 @@ func CallFunction(info *sem.Info, fn *ast.FuncDecl, args []Value, lim Limits) (V
 	return v, it.out, err
 }
 
-// CallFunctionIO invokes one function with scalar arguments and an X input
-// stream, returning the result value and the Y output stream.
-func CallFunctionIO(info *sem.Info, fn *ast.FuncDecl, args []Value, input []Value, lim Limits) (Value, []Value, error) {
-	max := lim.MaxSteps
-	if max <= 0 {
-		max = defaultMaxSteps
-	}
-	it := &Interp{info: info, max: max, in: append([]Value(nil), input...)}
-	v, err := it.call(fn, args)
-	return v, it.out, err
-}
-
 // ---------------------------------------------------------------------------
 // Execution
 

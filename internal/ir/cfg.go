@@ -172,15 +172,3 @@ func NaturalLoops(f *Func) []*Loop {
 	}
 	return loops
 }
-
-// LoopDepths returns, for every block, the number of loops containing it.
-// Blocks outside any loop have depth 0.
-func LoopDepths(f *Func) map[*Block]int {
-	depth := make(map[*Block]int, len(f.Blocks))
-	for _, l := range NaturalLoops(f) {
-		for b := range l.Blocks {
-			depth[b]++
-		}
-	}
-	return depth
-}

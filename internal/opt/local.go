@@ -43,12 +43,8 @@ func (s *LocalStats) Add(other LocalStats) {
 	s.Simplified += other.Simplified
 }
 
-// LocalOptimize runs local optimization on every block of f and returns the
-// combined statistics.
-func LocalOptimize(f *ir.Func) LocalStats {
-	return localOptimize(f, newLocalScratch())
-}
-
+// localOptimize runs local optimization on every block of f, reusing sc's
+// tables, and returns the combined statistics.
 func localOptimize(f *ir.Func, sc *localScratch) LocalStats {
 	var stats LocalStats
 	for _, b := range f.Blocks {

@@ -1,8 +1,6 @@
 package peercache
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"net"
 	"net/rpc"
@@ -210,10 +208,10 @@ func (p *Peers) holders(d [32]byte) []*peerState {
 }
 
 // Fetch implements fcache.PeerView: it asks each claimed holder in turn
-// for the entry under key, verifying the reply's checksummed record frame
-// and key binding before trusting a byte. errs counts holders that failed
-// at the transport level (timeout, drop, RPC error, corrupt reply); a
-// clean "not found" is not an error, just a thinner fleet.
+// for the entry under key, verifying the reply's checksummed record and its
+// key binding (fcache.DecodeEntry) before trusting a byte. errs counts
+// holders that failed at the transport level (timeout, drop, RPC error,
+// corrupt reply); a clean "not found" is not an error, just a thinner fleet.
 func (p *Peers) Fetch(key string) (e *fcache.ObjectEntry, ok bool, errs int) {
 	d := fcache.KeyDigest(key)
 	for _, ps := range p.holders(d) {
@@ -232,8 +230,8 @@ func (p *Peers) Fetch(key string) (e *fcache.ObjectEntry, ok bool, errs int) {
 		if !reply.Found {
 			continue
 		}
-		gotKey, payload, err := fcache.DecodeRecord(reply.Record)
-		if err != nil || gotKey != key {
+		entry, err := fcache.DecodeEntry(key, reply.Record)
+		if err != nil {
 			// Corrupt or misaddressed reply: the bytes are untrustworthy,
 			// and so is the peer — but only as a transport. Its compile
 			// health (cluster quarantine) is none of our business.
@@ -241,13 +239,7 @@ func (p *Peers) Fetch(key string) (e *fcache.ObjectEntry, ok bool, errs int) {
 			errs++
 			continue
 		}
-		var entry fcache.ObjectEntry
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&entry); err != nil {
-			p.markDead(ps)
-			errs++
-			continue
-		}
-		return &entry, true, errs
+		return entry, true, errs
 	}
 	return nil, false, errs
 }

@@ -15,10 +15,11 @@
 // from, so a warm directory is advertisable without reading a record), a
 // generation stamp, and the addresses of every peer the server knows —
 // one round of gossip, so fleets mesh without central configuration.
-// Fetch replies frame the object in the same checksummed record encoding
-// the disk tier persists (fcache.EncodeRecord): a reply is verified with
-// exactly the code that verifies a disk read, and a corrupt reply degrades
-// to a miss on the next holder, never into a poisoned compilation.
+// A fetch reply carries the entry as the same checksummed record the disk
+// tier persists (fcache.EncodeEntry): a reply is verified by exactly the
+// code that verifies a disk read (fcache.DecodeEntry), and a corrupt or
+// misaddressed reply degrades to a miss on the next holder, never into a
+// poisoned compilation.
 //
 // Every fetch reply piggybacks the server's current generation; a client
 // holding a summary taken at a different generation marks it stale and
@@ -32,8 +33,6 @@
 package peercache
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"net"
 	"net/rpc"
@@ -73,7 +72,7 @@ type FetchArgs struct {
 // FetchReply carries the checksummed record for the key, if held.
 type FetchReply struct {
 	Found  bool
-	Record []byte // fcache.EncodeRecord(Key, gob(ObjectEntry))
+	Record []byte // fcache.EncodeEntry(Key, entry)
 	Gen    int64  // server's generation now (staleness stamp)
 }
 
@@ -190,16 +189,8 @@ func (s *Service) fetchFault(f Fault, args FetchArgs, reply *FetchReply) error {
 		reply.Found = false
 		return nil
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
-		return err
-	}
-	rec, err := fcache.EncodeRecord(args.Key, payload.Bytes())
-	if err != nil {
-		return err
-	}
-	if f.Kind == FaultCorrupt && len(rec) > 0 {
-		rec = bytes.Clone(rec)
+	rec := fcache.EncodeEntry(args.Key, e)
+	if f.Kind == FaultCorrupt {
 		rec[len(rec)/2] ^= 0xFF
 	}
 	reply.Found = true
