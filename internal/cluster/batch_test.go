@@ -15,6 +15,7 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // compileBothWith compiles src sequentially and through the backend with an
@@ -112,7 +113,7 @@ func TestBatchSplitOnChaosFailure(t *testing.T) {
 	noAmbientDiskCache(t)
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Drop}))
+		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Drop}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +146,7 @@ func TestSingleFunctionUnitsRetryOnChaosFailure(t *testing.T) {
 	noAmbientDiskCache(t)
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Drop}))
+		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Drop}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,6 +89,31 @@ func TestCachedRPCPoolMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestSourceResentToSmallCacheWorker drives the re-send path: a worker
+// whose cache budget is smaller than the module source can never keep it,
+// so every hash-only request is answered missing-source and sent once more
+// with the source. Repeated builds must still be word-identical to the
+// sequential compiler.
+func TestSourceResentToSmallCacheWorker(t *testing.T) {
+	t.Setenv(fcache.EnvCacheDir, "")
+	src := wgen.MixedProgram(4)
+	srv, err := NewWorkerServer("127.0.0.1:0", int64(len(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool, err := DialPool([]string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	verifyAgainstSequential(t, "mixed.w2", src, pool)
+	if s := pool.CacheStats(); s.SourcePushes == 0 {
+		t.Errorf("no request was re-sent with its source: %s", s)
+	}
+}
+
 // TestParallelStatsReportCacheCounters: ParallelCompile must surface the
 // backend's cache effectiveness in its stats.
 func TestParallelStatsReportCacheCounters(t *testing.T) {
@@ -158,22 +183,6 @@ func TestWorkerKilledMidCompile(t *testing.T) {
 	// Direct requests must also fail fast now.
 	if _, err := pool.Compile(context.Background(), core.CompileRequest{File: "user.w2", Source: src, Section: 1, Index: 0}); err == nil {
 		t.Error("pool.Compile succeeded against a dead worker")
-	}
-}
-
-// TestStoreSourceVerifiesHash: a worker must reject a source push whose
-// content does not match its claimed address.
-func TestStoreSourceVerifiesHash(t *testing.T) {
-	w := NewWorker(0)
-	good := []byte("module m\nsection 1 { function f() { return; } }\n")
-	blob := SourceBlob{Hash: fcache.HashSource(good), Source: []byte("tampered")}
-	var resp bool
-	if err := w.StoreSource(blob, &resp); err == nil {
-		t.Error("mismatched source blob accepted")
-	}
-	blob.Source = good
-	if err := w.StoreSource(blob, &resp); err != nil {
-		t.Errorf("valid source blob rejected: %v", err)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // ClientKind enumerates misbehaviors of a compile-service client, the
-// daemon-side mirror of the worker faults above: where a Fault wedges a
+// daemon-side mirror of the worker faults: where a wire.Fault wedges a
 // worker under the dispatch layer, a ClientFault wedges (or severs) the
 // submitting side of the service wire. Daemon soaks draw one per job.
 type ClientKind int
@@ -43,7 +43,7 @@ type ClientRandom struct {
 
 // ClientPlan decides the behavior of each submitted job by a seeded draw;
 // ClientSeeded builds one. Safe for concurrent use; behaviors apply in
-// global arrival order, like Plan.
+// global arrival order, like a wire.Plan.
 type ClientPlan struct {
 	mu     sync.Mutex
 	rng    *rand.Rand

@@ -17,10 +17,14 @@
 // Both backends are cached (internal/fcache). The LocalPool shares one
 // cache between the master and all workers, so a module is parsed and
 // type-checked once per compilation instead of once per function. Each RPC
-// worker keeps a per-process cache and a source store: section masters push
-// the module source to a worker once (Worker.StoreSource, the shared-file-
-// server analog) and afterwards send only its 32-byte content hash, so
-// per-request wire bytes drop from O(|source|) to O(1).
+// worker keeps a per-process cache and a source store: a request carries
+// the module's 32-byte content hash and no source, and only when the worker
+// answers missing-source does the pool send it once more with the source,
+// which the worker checks and keeps for the next unit (the shared-file-
+// server analog). Per-request wire bytes drop from O(|source|) to O(1).
+//
+// Workers are served by internal/wire, the transport the peer protocol
+// shares: one rpc.Server per connection, calls under wire.Call's deadline.
 //
 // Unlike the paper's system — where a workstation failing mid-compile
 // failed the compilation — the RPCPool is fault-tolerant. Calls carry
@@ -35,7 +39,6 @@ package cluster
 import (
 	"context"
 	"net"
-	"net/rpc"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +47,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fcache"
 	"repro/internal/peercache"
+	"repro/internal/wire"
 )
 
 // LocalPool runs function masters on a fixed number of in-process workers
@@ -104,13 +108,6 @@ func (p *LocalPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]
 
 // ---------------------------------------------------------------------------
 // RPC worker (the "workstation" daemon)
-
-// SourceBlob is the Worker.StoreSource argument: module source plus its
-// content address.
-type SourceBlob struct {
-	Hash   fcache.SourceHash
-	Source []byte
-}
 
 // Worker is the RPC service run by each workstation process. net/rpc spawns
 // one goroutine per pending request, so without a bound a burst of batch
@@ -213,11 +210,12 @@ type BatchReply struct {
 // CompileBatch is the one compile RPC, invoked by section masters with a
 // dispatch unit of one or more functions; replies align with req.Items.
 // Requests may omit the source when the worker already holds it
-// (content-addressed by req.SourceHash). A request that carries both is
-// checked like StoreSource, so a mislabelled source can neither poison the
-// source store nor be answered from another module's cached frontend. Any
-// item's compile error fails the whole batch with CodeCompile, so clients
-// can tell "the source is bad" from "the worker is bad".
+// (content-addressed by req.SourceHash). A request that carries both has
+// the source checked against the hash before it is stored, so a mislabelled
+// source can neither poison the source store nor be answered from another
+// module's cached frontend. Any item's compile error fails the whole batch
+// with CodeCompile, so clients can tell "the source is bad" from "the
+// worker is bad".
 func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 	if !w.begin() {
 		return codeErr(CodeUnavailable, "worker: draining, not accepting new compiles")
@@ -274,18 +272,6 @@ func (w *Worker) batchFromCache(req *core.BatchRequest) (replies []core.CompileR
 	return replies, len(req.Items) > 0
 }
 
-// StoreSource installs module source in the worker's source store, keyed by
-// content. The hash is verified so a corrupted or misaddressed blob can
-// never poison the cache.
-func (w *Worker) StoreSource(blob SourceBlob, ok *bool) error {
-	if got := fcache.HashSource(blob.Source); got != blob.Hash {
-		return codeErr(CodeBadRequest, "worker: source blob hash mismatch: got %s, want %s", got, blob.Hash)
-	}
-	w.cache.PutSource(blob.Hash, blob.Source)
-	*ok = true
-	return nil
-}
-
 // CacheStats reports the worker's cache counters. It deliberately does not
 // take the compile lock: stats stay available mid-compile.
 func (w *Worker) CacheStats(_ struct{}, out *fcache.Stats) error {
@@ -307,43 +293,6 @@ func (w *Worker) Ping(_ struct{}, ok *bool) error {
 	return nil
 }
 
-// workerListener tracks accepted connections so closing the listener also
-// severs in-flight sessions — killing a worker kills its conversations, as
-// a real workstation crash would, instead of leaving masters hanging.
-type workerListener struct {
-	net.Listener
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-func (l *workerListener) track(c net.Conn) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.conns[c] = struct{}{}
-}
-
-func (l *workerListener) untrack(c net.Conn) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	delete(l.conns, c)
-}
-
-// Close stops accepting and closes every live connection.
-func (l *workerListener) Close() error {
-	err := l.Listener.Close()
-	l.mu.Lock()
-	conns := make([]net.Conn, 0, len(l.conns))
-	for c := range l.conns {
-		conns = append(conns, c)
-	}
-	l.conns = make(map[net.Conn]struct{})
-	l.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-	return err
-}
-
 // WorkerServer is a serving worker with a lifecycle: Close kills it the way
 // a workstation crash would, Shutdown drains it the way an operator's
 // SIGTERM should. Every worker also answers the peer-cache protocol
@@ -351,7 +300,7 @@ func (l *workerListener) Close() error {
 // doubles as its peer address; workers started with peer addresses
 // additionally fetch from those siblings before recompiling.
 type WorkerServer struct {
-	wl         *workerListener
+	srv        *wire.Server
 	worker     *Worker
 	addr       string
 	peerSvc    *peercache.Service
@@ -398,40 +347,19 @@ func serveWorkerPeers(addr string, w *Worker, peers []string) (*WorkerServer, er
 		return nil, err
 	}
 	bound := ln.Addr().String()
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", w); err != nil {
-		ln.Close()
-		return nil, err
-	}
 	// The peer service shares the worker's listener: the worker address is
 	// the peer address. It answers from local tiers only, so a fetch can
 	// never recurse back out to the fleet.
 	ws := &WorkerServer{worker: w, addr: bound, peerSvc: peercache.NewService(w.cache, bound, nil)}
-	if err := srv.RegisterName(peercache.ServiceName, ws.peerSvc); err != nil {
-		ln.Close()
-		return nil, err
-	}
 	if len(peers) > 0 {
 		ws.peerSvc.AddPeers(peers)
 		ws.peerClient = peercache.New(peercache.ClientOptions{Self: bound})
 		ws.peerClient.Connect(peers...)
 		w.cache.AttachPeers(ws.peerClient)
 	}
-	wl := &workerListener{Listener: ln, conns: make(map[net.Conn]struct{})}
-	ws.wl = wl
-	go func() {
-		for {
-			conn, err := wl.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			wl.track(conn)
-			go func() {
-				srv.ServeConn(conn)
-				wl.untrack(conn)
-			}()
-		}
-	}()
+	ws.srv = wire.Serve(ln, func(c *wire.Conn) map[string]any {
+		return map[string]any{"Worker": w, peercache.ServiceName: ws.peerSvc.On(c)}
+	})
 	return ws, nil
 }
 
@@ -444,18 +372,11 @@ func (s *WorkerServer) Worker() *Worker { return s.worker }
 // Close stops accepting and severs every live connection immediately — the
 // workstation-crash behavior used by fault tests.
 func (s *WorkerServer) Close() error {
-	err := s.wl.Close()
-	s.closePeers()
-	return err
-}
-
-// closePeers tears down the peer-protocol halves: the client's connections
-// to siblings and any server-side calls parked on chaos hangs.
-func (s *WorkerServer) closePeers() {
+	err := s.srv.Close()
 	if s.peerClient != nil {
 		s.peerClient.Close()
 	}
-	s.peerSvc.Close()
+	return err
 }
 
 // Shutdown stops accepting new connections, refuses new compiles, waits up
@@ -463,13 +384,12 @@ func (s *WorkerServer) closePeers() {
 // connections. It returns an error when the grace period expired with work
 // still in flight.
 func (s *WorkerServer) Shutdown(grace time.Duration) error {
-	s.wl.Listener.Close() // stop accepting; keep live conversations
+	s.srv.StopAccepting()
 	drained := s.worker.drain(grace)
 	// Let replies written just after the last handler returned reach the
 	// wire before severing.
 	time.Sleep(50 * time.Millisecond)
-	s.wl.Close()
-	s.closePeers()
+	s.Close()
 	if !drained {
 		return codeErr(CodeUnavailable, "worker: grace period expired with compiles in flight")
 	}
@@ -477,14 +397,14 @@ func (s *WorkerServer) Shutdown(grace time.Duration) error {
 }
 
 // ServeWorker listens on addr (e.g. "127.0.0.1:0") and serves compile
-// requests with a default-sized per-process cache until the listener is
+// requests with a default-sized per-process cache until the server is
 // closed. It returns the bound address.
-func ServeWorker(addr string) (net.Listener, string, error) {
+func ServeWorker(addr string) (*WorkerServer, string, error) {
 	srv, err := NewWorkerServer(addr, 0)
 	if err != nil {
 		return nil, "", err
 	}
-	return srv.wl, srv.addr, nil
+	return srv, srv.addr, nil
 }
 
 var _ core.Backend = (*LocalPool)(nil)

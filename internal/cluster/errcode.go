@@ -5,24 +5,26 @@ import (
 	"fmt"
 	"net/rpc"
 	"strings"
+
+	"repro/internal/wire"
 )
 
 // Code classifies an error produced by worker code. net/rpc flattens server
 // errors to bare strings (rpc.ServerError), so the classification is encoded
 // as a "warp-err:<code>: " prefix on the message and decoded with CodeOf on
 // the client side — structured where a substring match used to be. The code
-// decides how the dispatch layer reacts: cache-protocol codes trigger a
-// source push, retryable codes trigger failover to another worker, and
-// everything else is a deterministic outcome not worth retrying.
+// decides how the dispatch layer reacts: the cache-protocol code triggers a
+// re-send with the source, retryable codes trigger failover to another
+// worker, and everything else is a deterministic outcome not worth retrying.
 type Code string
 
 const (
 	// CodeMissingSource: a hash-only request named a source the worker does
-	// not hold (evicted or never pushed). Cache protocol: push the source
-	// and retry the same worker.
+	// not hold (evicted or never sent). Cache protocol: re-send the request
+	// with its source to the same worker.
 	CodeMissingSource Code = "missing-source"
-	// CodeBadRequest: the request itself is malformed (e.g. a source blob
-	// whose content does not match its claimed hash). Fatal.
+	// CodeBadRequest: the request itself is malformed (e.g. a source whose
+	// content does not match its claimed hash). Fatal.
 	CodeBadRequest Code = "bad-request"
 	// CodeCompile: the compiler rejected the source (front-end errors, bad
 	// section/function index). Deterministic — every worker would answer the
@@ -95,8 +97,8 @@ func IsMissingSource(err error) bool { return CodeOf(err) == CodeMissingSource }
 
 // ErrDeadline marks a call abandoned because its per-call deadline expired;
 // the connection is severed so the in-flight handler cannot complete later
-// and double-apply.
-var ErrDeadline = errors.New("cluster: call deadline exceeded")
+// and double-apply. It is the transport's one deadline error.
+var ErrDeadline = wire.ErrDeadline
 
 // transient reports whether err is worth retrying on another worker: call
 // deadlines, severed connections, and every transport-level failure are; a

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fcache"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // noAmbientDiskCache clears WARP_CACHE_DIR for tests that assert dispatch
@@ -72,12 +73,12 @@ func compileBoth(t *testing.T, name string, src []byte, pool *cluster.RPCPool) *
 // output, and the stats must show the failovers that made it so.
 func TestChaosCrashAndHangFailover(t *testing.T) {
 	noAmbientDiskCache(t)
-	hangSrv, hangAddr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Hang}))
+	hangSrv, hangAddr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Hang}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hangSrv.Close()
-	dropSrv, dropAddr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Drop}))
+	dropSrv, dropAddr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Drop}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +276,8 @@ func TestDegradedStart(t *testing.T) {
 // to another worker rather than abort the compile.
 func TestInjectedUnavailableFailsOver(t *testing.T) {
 	noAmbientDiskCache(t)
-	sick, sickAddr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(
-		chaos.Fault{Kind: chaos.ErrorReply, Err: "warp-err:unavailable: injected by chaos"},
+	sick, sickAddr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(
+		wire.Fault{Kind: wire.ErrorReply, Err: "warp-err:unavailable: injected by chaos"},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -345,9 +346,9 @@ func TestDrainRefusalNotCountedTowardQuarantine(t *testing.T) {
 	// throughout, so every re-dial ping succeeds and the worker re-enters
 	// rotation immediately — exactly a drain that finished between the
 	// refusal and the pool's re-dial.
-	srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(
-		chaos.Fault{Kind: chaos.ErrorReply, Err: "warp-err:unavailable: worker: draining, not accepting new compiles"},
-		chaos.Fault{Kind: chaos.Drop},
+	srv, addr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(
+		wire.Fault{Kind: wire.ErrorReply, Err: "warp-err:unavailable: worker: draining, not accepting new compiles"},
+		wire.Fault{Kind: wire.Drop},
 	))
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +396,7 @@ func TestDrainRefusalNotCountedTowardQuarantine(t *testing.T) {
 // disorder, same answer.
 func TestChaosSeededSoak(t *testing.T) {
 	noAmbientDiskCache(t)
-	plan := chaos.Seeded(7, chaos.Random{
+	plan := wire.Seeded(7, wire.Random{
 		DropProb:  0.15,
 		DelayProb: 0.2,
 		Delay:     2 * time.Millisecond,

@@ -18,6 +18,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/peercache"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // warmLocalCache compiles src into a fresh local pool and returns that
@@ -114,12 +115,12 @@ func TestPeerCorruptReplyNoQuarantine(t *testing.T) {
 	// A warm cache behind a chaos peer server that corrupts every early
 	// fetch (the client marks it dead on the first one it sees).
 	warm := warmLocalCache(t, "mod.w2", src)
-	corrupting := make([]peercache.Fault, 16)
+	corrupting := make([]wire.Fault, 16)
 	for i := range corrupting {
-		corrupting[i] = peercache.Fault{Kind: peercache.FaultCorrupt}
+		corrupting[i] = wire.Fault{Kind: wire.Corrupt}
 	}
 	psrv, paddr, err := peercache.Serve("127.0.0.1:0",
-		peercache.NewService(warm.Cache(), "", peercache.Script(corrupting...)))
+		peercache.NewService(warm.Cache(), "", wire.Script(corrupting...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +177,12 @@ func TestPeerChaosParity(t *testing.T) {
 	}
 	warm := warmLocalCache(t, "mod.w2", src)
 
-	script := func(k peercache.FaultKind, n int) *peercache.Plan {
-		fs := make([]peercache.Fault, n)
+	script := func(k wire.Kind, n int) *wire.Plan {
+		fs := make([]wire.Fault, n)
 		for i := range fs {
-			fs[i] = peercache.Fault{Kind: k}
+			fs[i] = wire.Fault{Kind: k}
 		}
-		return peercache.Script(fs...)
+		return wire.Script(fs...)
 	}
 	scenarios := []struct {
 		name string
@@ -189,7 +190,7 @@ func TestPeerChaosParity(t *testing.T) {
 	}{
 		{"hang", func(t *testing.T, workers int) {
 			srv, addr, err := peercache.Serve("127.0.0.1:0",
-				peercache.NewService(warm.Cache(), "", script(peercache.FaultHang, 4)))
+				peercache.NewService(warm.Cache(), "", script(wire.Hang, 4)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +199,7 @@ func TestPeerChaosParity(t *testing.T) {
 		}},
 		{"drop", func(t *testing.T, workers int) {
 			srv, addr, err := peercache.Serve("127.0.0.1:0",
-				peercache.NewService(warm.Cache(), "", script(peercache.FaultDrop, 4)))
+				peercache.NewService(warm.Cache(), "", script(wire.Drop, 4)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +208,7 @@ func TestPeerChaosParity(t *testing.T) {
 		}},
 		{"corrupt", func(t *testing.T, workers int) {
 			srv, addr, err := peercache.Serve("127.0.0.1:0",
-				peercache.NewService(warm.Cache(), "", script(peercache.FaultCorrupt, 4)))
+				peercache.NewService(warm.Cache(), "", script(wire.Corrupt, 4)))
 			if err != nil {
 				t.Fatal(err)
 			}

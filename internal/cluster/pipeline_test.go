@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/leakcheck"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // TestPipelinedRPCMatchesSequential drives the straggler workload through
@@ -58,7 +59,7 @@ func TestHangCancelsSiblingSections(t *testing.T) {
 	src := wgen.MultiSectionProgram(wgen.Small, 3)
 
 	// One scripted hang (until server close ≈ an hour), then pass-through.
-	srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Hang}))
+	srv, addr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Hang}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestHangCancelsSiblingSections(t *testing.T) {
 	// No goroutine leak: severed section masters and dispatchers drain, and
 	// the hung handler releases with its connection. Only the chaos server's
 	// accept loop outlives the pool — the retry below needs it.
-	base.Check(t, "chaos.(*Server).acceptLoop")
+	base.Check(t, "wire.(*Server).acceptLoop(")
 
 	// Retry on a fresh pool: the script is exhausted, so the same server now
 	// passes everything through — and the result is word-identical.
@@ -117,7 +118,7 @@ func TestMidStreamCancellationRPC(t *testing.T) {
 	src := wgen.MixedProgram(4)
 
 	// First call hangs until the server closes; everything after passes.
-	srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Hang}))
+	srv, addr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Hang}))
 	if err != nil {
 		t.Fatal(err)
 	}

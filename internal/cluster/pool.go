@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fcache"
 	"repro/internal/peercache"
+	"repro/internal/wire"
 )
 
 // PoolOptions configures the RPCPool's fault-tolerant dispatch. The zero
@@ -113,9 +114,7 @@ func FlagPoolOptions(callTimeout time.Duration, maxRetries int, dialRetry time.D
 }
 
 // poolWorker is the pool's view of one remote workstation: its address
-// (stable across restarts), the current client (nil while quarantined), and
-// the sources it holds — reset on every re-dial, because a restarted worker
-// has an empty source store.
+// (stable across restarts) and the current client (nil while quarantined).
 type poolWorker struct {
 	addr string
 
@@ -123,7 +122,6 @@ type poolWorker struct {
 	client      *rpc.Client
 	fails       int // consecutive transient failures
 	quarantined bool
-	has         map[fcache.SourceHash]bool
 }
 
 func (w *poolWorker) isQuarantined() bool {
@@ -132,13 +130,11 @@ func (w *poolWorker) isQuarantined() bool {
 	return w.quarantined
 }
 
-// setClient installs a fresh connection and forgets which sources the
-// worker holds.
+// setClient installs a fresh connection.
 func (w *poolWorker) setClient(c *rpc.Client) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.client = c
-	w.has = make(map[fcache.SourceHash]bool)
 }
 
 func (w *poolWorker) getClient() *rpc.Client {
@@ -147,24 +143,9 @@ func (w *poolWorker) getClient() *rpc.Client {
 	return w.client
 }
 
-func (w *poolWorker) knows(h fcache.SourceHash) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.has[h]
-}
-
-func (w *poolWorker) markKnows(h fcache.SourceHash) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.has != nil {
-		w.has[h] = true
-	}
-}
-
 // RPCPool dispatches units to remote workers over net/rpc with FCFS
-// placement: a unit takes the first worker that frees up. The pool
-// remembers which workers hold which sources and sends hash-only requests
-// whenever it can.
+// placement: a unit takes the first worker that frees up. Requests travel
+// hash-only; the source follows only when a worker asks for it.
 //
 // Dispatch is fault-tolerant; CompileBatch holds the one failover loop.
 // Workers failing repeatedly are quarantined; a background goroutine
@@ -180,7 +161,7 @@ type RPCPool struct {
 
 	closeOnce  sync.Once
 	bytesSaved int64 // atomic
-	pushes     int64 // atomic: StoreSource RPCs actually issued
+	pushes     int64 // atomic: requests re-sent with their source
 
 	// masterCache serves the master process itself: ParallelCompile warms
 	// its frontend tier once per module (instead of re-running the full
@@ -266,7 +247,7 @@ func (p *RPCPool) dialWorker(addr string) (*rpc.Client, error) {
 	}
 	c := rpc.NewClient(conn)
 	var ok bool
-	if err := callTimeout(context.Background(), c, "Worker.Ping", struct{}{}, &ok, p.opts.CallTimeout); err != nil || !ok {
+	if err := wire.Call(context.Background(), c, "Worker.Ping", struct{}{}, &ok, p.opts.CallTimeout); err != nil || !ok {
 		c.Close()
 		return nil, fmt.Errorf("cluster: worker %s not responding: %v", addr, err)
 	}
@@ -292,41 +273,13 @@ func (p *RPCPool) FaultStats() core.FaultStats {
 	return s
 }
 
-// callTimeout issues one RPC with a deadline, abandoned early if ctx is
-// cancelled. On expiry or cancellation the client is closed: net/rpc has no
-// cancellation, so severing the transport is the only way to guarantee the
-// abandoned handler can't complete the call later. ErrDeadline is wrapped
-// for errors.Is classification; cancellation returns ctx.Err().
-func callTimeout(ctx context.Context, c *rpc.Client, method string, args, reply any, d time.Duration) error {
-	if d < 0 && ctx.Done() == nil {
-		return c.Call(method, args, reply)
-	}
-	call := c.Go(method, args, reply, make(chan *rpc.Call, 1))
-	var expiry <-chan time.Time
-	if d >= 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		expiry = t.C
-	}
-	select {
-	case <-call.Done:
-		return call.Error
-	case <-expiry:
-		c.Close()
-		return fmt.Errorf("%w: %s after %v", ErrDeadline, method, d)
-	case <-ctx.Done():
-		c.Close()
-		return ctx.Err()
-	}
-}
-
 // call issues one RPC on w with the pool's deadline, counting deadline hits.
 func (p *RPCPool) call(ctx context.Context, w *poolWorker, method string, args, reply any) error {
 	c := w.getClient()
 	if c == nil {
 		return rpc.ErrShutdown
 	}
-	err := callTimeout(ctx, c, method, args, reply, p.opts.CallTimeout)
+	err := wire.Call(ctx, c, method, args, reply, p.opts.CallTimeout)
 	if errors.Is(err, ErrDeadline) {
 		p.mu.Lock()
 		p.stats.DeadlineHits++
@@ -651,93 +604,39 @@ func (p *RPCPool) splitBatch(ctx context.Context, req core.BatchRequest, cause e
 	return append(leftReplies, rightReplies...), nil
 }
 
-// batchOn runs the cache-protocol dance and the CompileBatch RPC on one
-// worker. The source is pushed at most once per (worker, module); every
-// later request carries only the content hash — the paper's workstations
-// likewise fetched the source from the shared file server rather than
-// receiving it in each message. A missing-source answer re-pushes once. A
-// reply-count skew is returned as a plain (transport-class) error so the
-// caller's failover heals it.
+// batchOn sends one unit to worker w. The request travels hash-only: a
+// worker that holds the source, or answers every item from its object tier
+// or its peers, needs nothing more — the paper's workstations likewise read
+// the source from the shared file server rather than receiving it in each
+// message. A missing-source answer sends the request once more with the
+// source, which the worker checks against the hash and keeps for the
+// module's next unit. A reply-count skew is returned as a plain
+// (transport-class) error so the caller's failover heals it.
 func (p *RPCPool) batchOn(ctx context.Context, w *poolWorker, req core.BatchRequest) ([]*core.CompileReply, error) {
-	src := req.Source
-	h := req.SourceHash
+	lean := req
+	lean.Source = nil
 	var reply BatchReply
-	sent, saved := false, false
-
-	// Optimistic incremental attempt: when the worker does not yet hold the
-	// source but every item carries a function hash, try hash-only before
-	// pushing anything — a warm worker (its disk tier survived a restart)
-	// answers from its object tier and the source never crosses the wire.
-	// A missing-source answer falls through to the normal push path.
-	allHashed := true
-	for _, it := range req.Items {
-		allHashed = allHashed && !it.FuncHash.IsZero()
-	}
-	if len(src) > 0 && allHashed && !w.knows(h) {
-		send := req
-		send.Source = nil
-		switch err := p.call(ctx, w, "Worker.CompileBatch", send, &reply); {
-		case err == nil:
-			sent, saved = true, true
-		case !IsMissingSource(err):
-			return nil, err
-		}
-	}
-
-	if !sent {
-		// The request travels hash-only: push the source first unless the
-		// worker already holds it.
-		lean := len(src) > 0
-		switch {
-		case lean && w.knows(h):
-			saved = true
-		case lean:
-			if err := p.push(ctx, w, h, src); err != nil {
-				return nil, err
-			}
-		}
-		send := req
-		send.Source = nil
+	err := p.call(ctx, w, "Worker.CompileBatch", lean, &reply)
+	switch {
+	case err == nil:
+		atomic.AddInt64(&p.bytesSaved, int64(len(req.Source)))
+	case IsMissingSource(err) && len(req.Source) > 0:
+		atomic.AddInt64(&p.pushes, 1)
 		reply = BatchReply{}
-		err := p.call(ctx, w, "Worker.CompileBatch", send, &reply)
-		if lean && IsMissingSource(err) {
-			// The worker evicted the source between our push and its lookup:
-			// re-push and retry once with the full source for good measure.
-			saved = false
-			if perr := p.push(ctx, w, h, src); perr != nil {
-				return nil, perr
-			}
-			reply = BatchReply{}
-			err = p.call(ctx, w, "Worker.CompileBatch", req, &reply)
-		}
-		if err != nil {
-			return nil, err
-		}
+		err = p.call(ctx, w, "Worker.CompileBatch", req, &reply)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if len(reply.Replies) != len(req.Items) {
 		return nil, fmt.Errorf("cluster: batch skew from %s: %d replies for %d items",
 			w.addr, len(reply.Replies), len(req.Items))
-	}
-	if saved {
-		atomic.AddInt64(&p.bytesSaved, int64(len(src)))
 	}
 	out := make([]*core.CompileReply, len(reply.Replies))
 	for i := range reply.Replies {
 		out[i] = &reply.Replies[i]
 	}
 	return out, nil
-}
-
-// push installs the source on worker w and records that it holds it. Each
-// push is counted: a fully warm incremental run issues zero.
-func (p *RPCPool) push(ctx context.Context, w *poolWorker, h fcache.SourceHash, src []byte) error {
-	var ok bool
-	if err := p.call(ctx, w, "Worker.StoreSource", SourceBlob{Hash: h, Source: src}, &ok); err != nil {
-		return err
-	}
-	atomic.AddInt64(&p.pushes, 1)
-	w.markKnows(h)
-	return nil
 }
 
 // Cache exposes the pool's master-side cache so ParallelCompile's own
@@ -755,7 +654,7 @@ func (p *RPCPool) CacheStats() fcache.Stats {
 			continue
 		}
 		var ws fcache.Stats
-		if err := callTimeout(context.Background(), c, "Worker.CacheStats", struct{}{}, &ws, p.opts.CallTimeout); err == nil {
+		if err := wire.Call(context.Background(), c, "Worker.CacheStats", struct{}{}, &ws, p.opts.CallTimeout); err == nil {
 			s.Add(ws)
 		}
 	}

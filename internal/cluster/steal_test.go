@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster/chaos"
 	"repro/internal/core"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // TestStealRPCSkewedParity runs the stealer's target workload — one heavy
@@ -60,7 +61,7 @@ func TestStealChaosWorkerDiesMidSteal(t *testing.T) {
 	noAmbientDiskCache(t)
 	var addrs []string
 	for i := 0; i < 2; i++ {
-		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, chaos.Script(chaos.Fault{Kind: chaos.Drop}))
+		srv, addr, err := chaos.Serve("127.0.0.1:0", 0, wire.Script(wire.Fault{Kind: wire.Drop}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,8 +100,8 @@ const EnvCacheDir = "WARP_CACHE_DIR"
 
 // Stats is a snapshot of cache effectiveness counters. Pools aggregate
 // worker stats with Add; RPCBytesSaved and SourcePushes are filled by the
-// RPC pool (bytes of source not re-sent because the worker already held it,
-// and StoreSource calls actually issued).
+// RPC pool (bytes of source a hash-only request did not carry, and requests
+// re-sent with their source).
 type Stats struct {
 	FrontendHits   int64
 	FrontendMisses int64
@@ -116,8 +116,9 @@ type Stats struct {
 	BytesUsed      int64
 	BytesMax       int64
 	RPCBytesSaved  int64
-	// SourcePushes counts StoreSource RPCs issued by a pool — zero on a warm
-	// run whose every function was answered from the object tier.
+	// SourcePushes counts requests a pool re-sent with their source after a
+	// worker answered missing-source — zero on a warm run whose every
+	// function was answered from the object tier.
 	SourcePushes int64
 	// Disk counters cover the persistent object tier (zero without one).
 	DiskHits      int64
@@ -561,7 +562,7 @@ func (c *Cache) diskStore(key string, e *ObjectEntry) {
 
 // PutSource stores module source under its content address. The caller is
 // responsible for h == HashSource(src) (process boundaries verify this; see
-// cluster.Worker.StoreSource).
+// cluster.Worker.CompileBatch).
 func (c *Cache) PutSource(h SourceHash, src []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

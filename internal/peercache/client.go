@@ -1,7 +1,7 @@
 package peercache
 
 import (
-	"errors"
+	"context"
 	"net"
 	"net/rpc"
 	"sort"
@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fcache"
+	"repro/internal/wire"
 )
 
 // Peers is the client half of the protocol: one process's view of the
@@ -116,40 +117,33 @@ func (p *Peers) connectOne(addr string) []string {
 	if err != nil {
 		return nil
 	}
-	client := rpc.NewClient(conn)
-	ps := &peerState{addr: addr, client: client}
-	var reply SummaryReply
-	if err := p.call(ps, ServiceName+".Summary", SummaryArgs{From: p.self}, &reply); err != nil {
-		client.Close()
+	ps := &peerState{addr: addr, client: rpc.NewClient(conn)}
+	gossip, err := p.summarize(ps)
+	if err != nil {
+		ps.client.Close()
 		return nil
 	}
-	ps.bloom = FromWire(reply.Bloom)
-	ps.gen = reply.Gen
-	ps.summaryAt = time.Now()
 	p.mu.Lock()
 	p.peers[addr] = ps
 	p.mu.Unlock()
-	return reply.Peers
+	return gossip
 }
 
-// errPeerTimeout marks an RPC that outlived its deadline.
-var errPeerTimeout = errors.New("peercache: peer call timed out")
-
-// call performs one RPC against ps under the per-call deadline. On
-// timeout the underlying client is closed — terminating the pending call's
-// goroutine — and the peer is dead to this client.
-func (p *Peers) call(ps *peerState, method string, args, reply any) error {
-	done := make(chan *rpc.Call, 1)
-	ps.client.Go(method, args, reply, done)
-	t := time.NewTimer(p.timeout)
-	defer t.Stop()
-	select {
-	case c := <-done:
-		return c.Error
-	case <-t.C:
-		ps.client.Close()
-		return errPeerTimeout
+// summarize runs the summary exchange with ps under the per-call deadline
+// and installs the peer's filter and generation. It returns the addresses
+// gossiped back.
+func (p *Peers) summarize(ps *peerState) ([]string, error) {
+	var reply SummaryReply
+	if err := wire.Call(context.Background(), ps.client, ServiceName+".Summary", SummaryArgs{From: p.self}, &reply, p.timeout); err != nil {
+		return nil, err
 	}
+	p.mu.Lock()
+	ps.bloom = FromWire(reply.Bloom)
+	ps.gen = reply.Gen
+	ps.summaryAt = time.Now()
+	ps.stale = false
+	p.mu.Unlock()
+	return reply.Peers, nil
 }
 
 // markDead retires a peer after a transport failure.
@@ -162,17 +156,9 @@ func (p *Peers) markDead(ps *peerState) {
 
 // refresh re-runs the summary exchange for a stale peer.
 func (p *Peers) refresh(ps *peerState) {
-	var reply SummaryReply
-	if err := p.call(ps, ServiceName+".Summary", SummaryArgs{From: p.self}, &reply); err != nil {
+	if _, err := p.summarize(ps); err != nil {
 		p.markDead(ps)
-		return
 	}
-	p.mu.Lock()
-	ps.bloom = FromWire(reply.Bloom)
-	ps.gen = reply.Gen
-	ps.summaryAt = time.Now()
-	ps.stale = false
-	p.mu.Unlock()
 }
 
 // holders returns the live peers whose summaries claim the digest, in
@@ -216,7 +202,7 @@ func (p *Peers) Fetch(key string) (e *fcache.ObjectEntry, ok bool, errs int) {
 	d := fcache.KeyDigest(key)
 	for _, ps := range p.holders(d) {
 		var reply FetchReply
-		if err := p.call(ps, ServiceName+".Fetch", FetchArgs{Key: key, From: p.self}, &reply); err != nil {
+		if err := wire.Call(context.Background(), ps.client, ServiceName+".Fetch", FetchArgs{Key: key, From: p.self}, &reply, p.timeout); err != nil {
 			p.markDead(ps)
 			errs++
 			continue

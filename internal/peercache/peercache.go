@@ -30,17 +30,23 @@
 // client, but never touch the dispatch layer's compile-health quarantine —
 // a machine that serves bad bytes may still compile perfectly, and vice
 // versa.
+//
+// Both halves run on internal/wire: Serve gives every connection its own
+// copy of the Service (On), each client call runs under wire.Call's
+// deadline, and a wire.Plan injects faults into fetches — the generic kinds
+// plus Corrupt and Miss, which only a fetch can carry out. The peer tier
+// sits over an always-correct fallback (the local compile), so every fault
+// must degrade to "the client treats this peer as useless and moves on".
 package peercache
 
 import (
-	"errors"
 	"net"
-	"net/rpc"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/fcache"
+	"repro/internal/wire"
 )
 
 // ServiceName is the RPC service name peers register under — alongside
@@ -76,46 +82,49 @@ type FetchReply struct {
 	Gen    int64  // server's generation now (staleness stamp)
 }
 
-// Service answers the peer protocol over one local cache. Register it on
-// an rpc.Server under ServiceName, or pass it to Serve for a standalone
-// listener. Fetches are answered from local tiers only (memory, then
-// disk) — never from the service's own peers and never by compiling — so
-// two caches fetching from each other cannot recurse.
+// Service answers the peer protocol over one local cache. Serve it
+// standalone with Serve, or register On(c) for each connection of a
+// wire.Server under ServiceName. Fetches are answered from local tiers only
+// (memory, then disk) — never from the service's own peers and never by
+// compiling — so two caches fetching from each other cannot recurse.
 type Service struct {
 	cache *fcache.Cache
-	self  string // address peers can fetch from me at ("" = none)
-	plan  *Plan  // nil = no chaos
+	self  string     // address peers can fetch from me at ("" = none)
+	plan  *wire.Plan // nil = no chaos
+	view  *view      // gossip view, shared by every connection's copy
+	conn  *wire.Conn // the connection this copy serves (set by On)
+}
 
+// view is the set of peer addresses a service has heard of.
+type view struct {
 	mu    sync.Mutex
-	known map[string]bool // gossip view: peer addresses heard of
-	done  chan struct{}
-	close sync.Once
+	known map[string]bool
 }
 
 // NewService returns a peer server over cache. self is the address remote
 // peers can reach this process at (gossiped to callers; "" to not
-// advertise). plan injects scripted faults (nil for none).
-func NewService(cache *fcache.Cache, self string, plan *Plan) *Service {
-	return &Service{
-		cache: cache,
-		self:  self,
-		plan:  plan,
-		known: make(map[string]bool),
-		done:  make(chan struct{}),
-	}
+// advertise). plan injects faults into fetches (nil for none).
+func NewService(cache *fcache.Cache, self string, plan *wire.Plan) *Service {
+	return &Service{cache: cache, self: self, plan: plan, view: &view{known: make(map[string]bool)}}
 }
 
-// Close releases calls blocked on open-ended hang faults. Idempotent.
-func (s *Service) Close() { s.close.Do(func() { close(s.done) }) }
+// On returns the service bound to one connection of a wire.Server, so a
+// fetch's faults act on the connection it arrived on: a Drop cuts it, and a
+// Hang ends when its client hangs up.
+func (s *Service) On(c *wire.Conn) *Service {
+	bound := *s
+	bound.conn = c
+	return &bound
+}
 
 // noteAddr records a peer address learned from an incoming call.
 func (s *Service) noteAddr(addr string) {
 	if addr == "" || addr == s.self {
 		return
 	}
-	s.mu.Lock()
-	s.known[addr] = true
-	s.mu.Unlock()
+	s.view.mu.Lock()
+	s.view.known[addr] = true
+	s.view.mu.Unlock()
 }
 
 // AddPeers seeds the gossip view (the -peers flag's addresses).
@@ -127,12 +136,12 @@ func (s *Service) AddPeers(addrs []string) {
 
 // KnownPeers lists the gossip view, sorted for determinism.
 func (s *Service) KnownPeers() []string {
-	s.mu.Lock()
-	out := make([]string, 0, len(s.known))
-	for a := range s.known {
+	s.view.mu.Lock()
+	out := make([]string, 0, len(s.view.known))
+	for a := range s.view.known {
 		out = append(out, a)
 	}
-	s.mu.Unlock()
+	s.view.mu.Unlock()
 	sort.Strings(out)
 	return out
 }
@@ -154,43 +163,24 @@ func (s *Service) Summary(args SummaryArgs, reply *SummaryReply) error {
 }
 
 // Fetch serves the entry for one key from local tiers, framed and
-// checksummed. Registered directly (shared RPC server) it degrades a
-// scripted FaultDrop to FaultError; the standalone Server intercepts Drop
-// before calling in.
+// checksummed, after the plan's fault for the call.
 func (s *Service) Fetch(args FetchArgs, reply *FetchReply) error {
-	return s.fetchFault(s.plan.take(), args, reply)
-}
-
-func (s *Service) fetchFault(f Fault, args FetchArgs, reply *FetchReply) error {
 	s.noteAddr(args.From)
-	switch f.Kind {
-	case FaultHang:
-		d := f.D
-		if d <= 0 {
-			d = time.Hour
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.done:
-		}
-		return errors.New("peercache: chaos hang released")
-	case FaultError, FaultDrop:
-		return errors.New("peercache: chaos injected error")
-	case FaultMiss:
-		reply.Found = false
-		reply.Gen = s.cache.ObjectGen()
-		return nil
+	f, err := s.plan.Inject(s.conn)
+	if err != nil {
+		return err
 	}
-	e, ok := s.cache.LocalObject(args.Key)
+	var e *fcache.ObjectEntry
+	ok := false
+	if f.Kind != wire.Miss {
+		e, ok = s.cache.LocalObject(args.Key)
+	}
 	reply.Gen = s.cache.ObjectGen()
 	if !ok {
-		reply.Found = false
 		return nil
 	}
 	rec := fcache.EncodeEntry(args.Key, e)
-	if f.Kind == FaultCorrupt {
+	if f.Kind == wire.Corrupt {
 		rec[len(rec)/2] ^= 0xFF
 	}
 	reply.Found = true
@@ -199,18 +189,8 @@ func (s *Service) fetchFault(f Fault, args FetchArgs, reply *FetchReply) error {
 }
 
 // Server is a standalone peer listener (the compile daemon's -peer-listen;
-// workers instead register their Service on the worker RPC listener). Each
-// connection gets its own rpc.Server so a scripted FaultDrop can sever its
-// transport.
-type Server struct {
-	ln   net.Listener
-	addr string
-	svc  *Service
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-}
+// workers instead register their Service on the worker's wire.Server).
+type Server = wire.Server
 
 // Serve starts svc on addr (e.g. "127.0.0.1:0"). If svc was built without
 // a self address, the bound address becomes it.
@@ -222,79 +202,8 @@ func Serve(addr string, svc *Service) (*Server, string, error) {
 	if svc.self == "" {
 		svc.self = ln.Addr().String()
 	}
-	s := &Server{ln: ln, addr: ln.Addr().String(), svc: svc, conns: make(map[net.Conn]struct{})}
-	go s.acceptLoop()
-	return s, s.addr, nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.addr }
-
-func (s *Server) acceptLoop() {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-
-		srv := rpc.NewServer()
-		srv.RegisterName(ServiceName, &connPeer{svc: s.svc, conn: conn})
-		go func() {
-			srv.ServeConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close stops the server, severs every connection, and releases any calls
-// blocked on hang faults.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.conns = make(map[net.Conn]struct{})
-	s.mu.Unlock()
-	err := s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.svc.Close()
-	return err
-}
-
-// connPeer is the per-connection RPC surface of a standalone Server: the
-// shared Service plus the one fault only a connection owner can inject.
-type connPeer struct {
-	svc  *Service
-	conn net.Conn
-}
-
-func (p *connPeer) Summary(args SummaryArgs, reply *SummaryReply) error {
-	return p.svc.Summary(args, reply)
-}
-
-func (p *connPeer) Fetch(args FetchArgs, reply *FetchReply) error {
-	f := p.svc.plan.take()
-	if f.Kind == FaultDrop {
-		p.conn.Close()
-		return errors.New("peercache: chaos connection dropped")
-	}
-	return p.svc.fetchFault(f, args, reply)
+	srv := wire.Serve(ln, func(c *wire.Conn) map[string]any {
+		return map[string]any{ServiceName: svc.On(c)}
+	})
+	return srv, srv.Addr(), nil
 }

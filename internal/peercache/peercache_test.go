@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/fcache"
+	"repro/internal/leakcheck"
+	"repro/internal/wire"
 )
 
 func TestBloom(t *testing.T) {
@@ -72,7 +74,7 @@ func seedCache(t *testing.T, n int) (*fcache.Cache, []fcache.FuncHash) {
 	return c, fhs
 }
 
-func startPeer(t *testing.T, c *fcache.Cache, plan *Plan) (*Server, string) {
+func startPeer(t *testing.T, c *fcache.Cache, plan *wire.Plan) (*Server, string) {
 	t.Helper()
 	srv, addr, err := Serve("127.0.0.1:0", NewService(c, "", plan))
 	if err != nil {
@@ -130,7 +132,7 @@ func TestFetchFailover(t *testing.T) {
 	warmA, fhs := seedCache(t, 1)
 	warmB, _ := seedCache(t, 1)
 
-	planHang := Script(Fault{Kind: FaultHang}) // first fetch hangs
+	planHang := wire.Script(wire.Fault{Kind: wire.Hang}) // first fetch hangs
 	_, addrA := startPeer(t, warmA, planHang)
 	_, addrB := startPeer(t, warmB, planHang)
 
@@ -150,9 +152,39 @@ func TestFetchFailover(t *testing.T) {
 	}
 }
 
+// TestPeerHangReleasedOnHangUp: a fetch parked on an open-ended Hang ends
+// when its client times out and hangs up, while the server stays open —
+// nothing but the server's accept loop may outlive the client.
+func TestPeerHangReleasedOnHangUp(t *testing.T) {
+	base := leakcheck.Take()
+	warm, fhs := seedCache(t, 1)
+	_, addr := startPeer(t, warm, wire.Script(wire.Fault{Kind: wire.Hang}))
+	key := "obj:" + fhs[0].String() + ":default"
+
+	p := New(ClientOptions{Timeout: 200 * time.Millisecond})
+	if n := p.Connect(addr); n != 1 {
+		t.Fatalf("Connect = %d, want 1", n)
+	}
+	if _, ok, errs := p.Fetch(key); ok || errs != 1 {
+		t.Fatalf("hung fetch: ok=%v errs=%d, want a miss with one error", ok, errs)
+	}
+	p.Close()
+	base.Check(t, "wire.(*Server).acceptLoop(")
+
+	// The server is still open: a new client fetches the entry.
+	p2 := New(ClientOptions{Timeout: time.Second})
+	defer p2.Close()
+	if n := p2.Connect(addr); n != 1 {
+		t.Fatalf("reconnect = %d, want 1", n)
+	}
+	if _, ok, _ := p2.Fetch(key); !ok {
+		t.Fatal("fetch after the hang failed")
+	}
+}
+
 func TestCorruptReplyCountsAsError(t *testing.T) {
 	warm, fhs := seedCache(t, 1)
-	_, addr := startPeer(t, warm, Script(Fault{Kind: FaultCorrupt}))
+	_, addr := startPeer(t, warm, wire.Script(wire.Fault{Kind: wire.Corrupt}))
 
 	p := New(ClientOptions{Timeout: time.Second})
 	defer p.Close()

@@ -13,6 +13,7 @@ import (
 	"repro/internal/link"
 	"repro/internal/peercache"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // TestTwoDaemonPeerSoak is the daemon-level soak of the peer tier, mirroring
@@ -66,11 +67,11 @@ func TestTwoDaemonPeerSoak(t *testing.T) {
 	// Daemon A: local pool, cache served over the peer protocol with a plan
 	// that hangs the fourth fetch open-endedly — the fetch we kill A under.
 	poolA := cluster.NewLocalPool(2)
-	planA := peercache.Script(
-		peercache.Fault{Kind: peercache.FaultPass},
-		peercache.Fault{Kind: peercache.FaultPass},
-		peercache.Fault{Kind: peercache.FaultPass},
-		peercache.Fault{Kind: peercache.FaultHang},
+	planA := wire.Script(
+		wire.Fault{Kind: wire.Pass},
+		wire.Fault{Kind: wire.Pass},
+		wire.Fault{Kind: wire.Pass},
+		wire.Fault{Kind: wire.Hang},
 	)
 	peerSrvA, peerAddrA, err := peercache.Serve("127.0.0.1:0", peercache.NewService(poolA.Cache(), "", planA))
 	if err != nil {

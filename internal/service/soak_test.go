@@ -17,6 +17,7 @@ import (
 	"repro/internal/leakcheck"
 	"repro/internal/link"
 	"repro/internal/wgen"
+	"repro/internal/wire"
 )
 
 // TestDaemonChaosSoak is the daemon-level soak the tentpole is held to:
@@ -42,7 +43,7 @@ func TestDaemonChaosSoak(t *testing.T) {
 
 	// Worker fleet: two chaotic workers (drops, delays) and one clean one,
 	// behind the fault-tolerant pool with local fallback enabled.
-	workerPlan := chaos.Seeded(7, chaos.Random{
+	workerPlan := wire.Seeded(7, wire.Random{
 		DropProb:  0.10,
 		DelayProb: 0.20,
 		Delay:     2 * time.Millisecond,
