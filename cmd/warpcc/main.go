@@ -18,7 +18,6 @@
 //	-batch-threshold C    estimated-cost cutoff for batching (0 disables)
 //	-fe-workers N         parallel-frontend worker bound (0 = GOMAXPROCS, 1 = serial)
 //	-cache-dir DIR        disk-backed object cache for par/rpc modes
-//	-peers a,b            peer-cache addresses to fetch finished objects from
 //	-call-timeout D       per-RPC deadline for -mode rpc (0 disables)
 //	-max-retries N        failover attempts per request for -mode rpc
 //	-dial-retry D         readmission probe period for quarantined workers
@@ -56,7 +55,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/compiler"
 	"repro/internal/core"
-	"repro/internal/peercache"
 	"repro/internal/service"
 	"repro/internal/warpsim"
 )
@@ -73,7 +71,6 @@ func main() {
 		noPipeline    = flag.Bool("no-pipeline", false, "disable software pipelining")
 		noSched       = flag.Bool("no-sched", false, "disable instruction scheduling")
 		cacheDir      = flag.String("cache-dir", "", "disk-backed object cache directory for par/rpc modes (persists across runs; overrides WARP_CACHE_DIR)")
-		peersCSV      = flag.String("peers", "", "comma-separated peer-cache addresses (workers or daemons) to batch-prefetch finished objects from before dispatch")
 		showStats     = flag.Bool("stats", false, "print per-function statistics")
 		statsJSON     = flag.Bool("stats-json", false, "emit the parallel-compilation stats as one JSON object on stderr (durations in nanoseconds; rank-corr 0 when not computed)")
 		daemonAddr    = flag.String("daemon", "", "compile via a running warpd daemon at this address (unix:/path or host:port) instead of -mode")
@@ -131,11 +128,6 @@ func main() {
 		copts.BatchThreshold = -1 // the flag's 0 means "no batching"
 	}
 
-	var peerAddrs []string
-	if *peersCSV != "" {
-		peerAddrs = strings.Split(*peersCSV, ",")
-	}
-
 	var res *compiler.Result
 	var pstats *core.ParallelStats
 	switch {
@@ -150,12 +142,6 @@ func main() {
 				fatal(fmt.Errorf("opening -cache-dir %s: %w", *cacheDir, derr))
 			}
 		}
-		if len(peerAddrs) > 0 {
-			pc := peercache.New(peercache.ClientOptions{})
-			pc.Connect(peerAddrs...)
-			defer pc.Close()
-			pool.Cache().AttachPeers(pc)
-		}
 		res, pstats, err = core.ParallelCompileWith(file, src, pool, opts, copts)
 	case *mode == "rpc":
 		if *workers == "" {
@@ -164,7 +150,6 @@ func main() {
 		popts := cluster.FlagPoolOptions(*callTimeout, *maxRetries, *dialRetry)
 		popts.DisableFallback = *noFallback
 		popts.CacheDir = *cacheDir
-		popts.Peers = peerAddrs
 		pool, derr := cluster.DialPoolWith(strings.Split(*workers, ","), popts)
 		if derr != nil {
 			fatal(derr)
@@ -382,10 +367,6 @@ func printParallelStats(s *core.ParallelStats) {
 		st.Steals, st.CrossBuildSteals, st.BatchSplits, st.StealLatency.Round(1000), idle.Round(1000), fleet)
 	fmt.Printf("incremental: unchanged=%d worker-hits=%d recompiled=%d recompile-ratio=%.2f\n",
 		d.UnchangedFuncs, d.IncrementalHits, d.RecompiledFuncs, d.RecompileRatio)
-	if c := s.Cache; c.PeerHits+c.PeerMisses+c.PeerErrors+c.PeerPrefetched+c.PeerServed > 0 {
-		fmt.Printf("peer: hits=%d misses=%d errors=%d filled-bytes=%d prefetched=%d served=%d\n",
-			c.PeerHits, c.PeerMisses, c.PeerErrors, c.PeerBytes, c.PeerPrefetched, c.PeerServed)
-	}
 	fmt.Printf("cache: %s\n", s.Cache)
 	if s.Faults.Any() {
 		fmt.Printf("faults: %s\n", s.Faults)

@@ -12,13 +12,9 @@
 // build's queued units, with victims chosen by per-tenant service deficit
 // so a huge build cannot starve a small one.
 //
-// Daemons federate through the peer-cache protocol (internal/peercache):
-// -peer-listen serves this daemon's artifact cache to the fleet ("who has
-// hash H?" / "fetch H"), and -peers names sibling daemons or workers to
-// fetch finished objects from before recompiling — a second daemon coming
-// up next to a warm one syncs artifacts instead of recompiling the world.
-// Per-job peer counters (hits, prefetched, errors) appear in job snapshots
-// alongside the other cache stats.
+// Daemons and workers share finished objects through one -cache-dir: a
+// second daemon started over a warm directory serves its first jobs from
+// disk instead of recompiling.
 //
 // On SIGINT/SIGTERM the daemon drains: it finishes accepted jobs,
 // refuses new ones with warp-err:draining, verifies no parallelism token
@@ -28,7 +24,7 @@
 // Usage:
 //
 //	warpd -listen unix:/tmp/warpd.sock [-j N | -workers host:port,...]
-//	      [-cache-dir DIR] [-peer-listen host:port] [-peers a,b]
+//	      [-cache-dir DIR]
 //	      [-max-active N] [-max-queued N] [-tokens N]
 //	      [-job-timeout D] [-grace D]
 package main
@@ -46,23 +42,20 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/peercache"
 	"repro/internal/service"
 )
 
 func main() {
 	var (
-		listen     = flag.String("listen", "unix:/tmp/warpd.sock", "listen address: unix:/path or TCP host:port")
-		jobs       = flag.Int("j", runtime.NumCPU(), "in-process worker count (ignored with -workers)")
-		workers    = flag.String("workers", "", "comma-separated remote worker addresses (rpc backend)")
-		cacheDir   = flag.String("cache-dir", "", "persistent shared object cache directory (overrides WARP_CACHE_DIR)")
-		peerListen = flag.String("peer-listen", "", "serve the peer-cache protocol on this address (host:port; empty = not served)")
-		peersCSV   = flag.String("peers", "", "comma-separated peer-cache addresses (sibling daemons or workers) to fetch finished objects from")
-		maxActive  = flag.Int("max-active", 0, "max concurrently running jobs (0 = worker count)")
-		maxQueued  = flag.Int("max-queued", -1, "max jobs waiting at admission before shedding (-1 = 4x max-active)")
-		tokens     = flag.Int("tokens", 0, "parallelism token bucket capacity (0 = max-active)")
-		jobTO      = flag.Duration("job-timeout", 0, "per-job deadline measured from admission (0 = none)")
-		grace      = flag.Duration("grace", 30*time.Second, "drain period for accepted jobs on SIGINT/SIGTERM")
+		listen    = flag.String("listen", "unix:/tmp/warpd.sock", "listen address: unix:/path or TCP host:port")
+		jobs      = flag.Int("j", runtime.NumCPU(), "in-process worker count (ignored with -workers)")
+		workers   = flag.String("workers", "", "comma-separated remote worker addresses (rpc backend)")
+		cacheDir  = flag.String("cache-dir", "", "persistent shared object cache directory (overrides WARP_CACHE_DIR)")
+		maxActive = flag.Int("max-active", 0, "max concurrently running jobs (0 = worker count)")
+		maxQueued = flag.Int("max-queued", -1, "max jobs waiting at admission before shedding (-1 = 4x max-active)")
+		tokens    = flag.Int("tokens", 0, "parallelism token bucket capacity (0 = max-active)")
+		jobTO     = flag.Duration("job-timeout", 0, "per-job deadline measured from admission (0 = none)")
+		grace     = flag.Duration("grace", 30*time.Second, "drain period for accepted jobs on SIGINT/SIGTERM")
 
 		callTimeout = flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline for remote workers (0 disables)")
 		maxRetries  = flag.Int("max-retries", 3, "max failover attempts per request for remote workers (0 disables)")
@@ -93,29 +86,6 @@ func main() {
 		}
 		backend = pool
 	}
-	cache := backend.Cache()
-
-	// Peer federation: serve this daemon's cache to the fleet and/or fetch
-	// from siblings. The served address doubles as our gossip identity.
-	var peerSelf string
-	if *peerListen != "" {
-		psrv, addr, err := peercache.Serve(*peerListen, peercache.NewService(cache, "", nil))
-		if err != nil {
-			fatal(fmt.Errorf("peer-listen %s: %w", *peerListen, err))
-		}
-		defer psrv.Close()
-		peerSelf = addr
-		fmt.Printf("warpd: serving peer cache on %s\n", addr)
-	}
-	if *peersCSV != "" {
-		addrs := strings.Split(*peersCSV, ",")
-		pc := peercache.New(peercache.ClientOptions{Self: peerSelf})
-		n := pc.Connect(addrs...)
-		defer pc.Close()
-		cache.AttachPeers(pc)
-		fmt.Printf("warpd: peer cache: %d/%d peers connected\n", n, len(addrs))
-	}
-
 	d, err := service.NewDaemon(service.Config{
 		Backend:    backend,
 		MaxActive:  *maxActive,

@@ -9,12 +9,9 @@
 // skip parsing, checking, and lowering, and masters can send a 32-byte hash
 // instead of the whole source. The cache cannot be turned off.
 //
-// Every worker also serves the peer-cache protocol on its listener
-// ("who has hash H?" / "fetch H" — internal/peercache), so its address
-// doubles as a peer address. With -peers naming sibling workers or daemons,
-// the worker fetches finished objects from the fleet before recompiling:
-// a cold restart syncs 32-byte keys and pulls artifacts instead of
-// recompiling the world.
+// Workers started over one shared -cache-dir reuse each other's finished
+// objects: a cold restart over a warm directory answers from disk instead
+// of recompiling the world.
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting
 // connections, refuses new compiles (clients fail over to other workers),
@@ -23,7 +20,7 @@
 //
 // Usage:
 //
-//	warpworker [-addr host:port] [-jobs N] [-cache-mb N] [-cache-dir DIR] [-peers a,b] [-grace D]
+//	warpworker [-addr host:port] [-jobs N] [-cache-mb N] [-cache-dir DIR] [-grace D]
 package main
 
 import (
@@ -32,7 +29,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,7 +40,6 @@ func main() {
 	jobs := flag.Int("jobs", runtime.NumCPU(), "max concurrent compiles; excess requests queue (1 = the paper's single-CPU workstation)")
 	cacheMB := flag.Int64("cache-mb", 0, "artifact cache budget in MiB (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persistent object cache directory (survives restarts; overrides WARP_CACHE_DIR)")
-	peers := flag.String("peers", "", "comma-separated peer addresses (other workers/daemons) to fetch finished objects from before recompiling")
 	grace := flag.Duration("grace", 10*time.Second, "drain period for in-flight compiles on SIGINT/SIGTERM")
 	flag.Parse()
 	if *cacheMB < 0 {
@@ -53,20 +48,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var peerAddrs []string
-	if *peers != "" {
-		peerAddrs = strings.Split(*peers, ",")
-	}
-	srv, err := cluster.NewWorkerServerPeers(*addr, *cacheMB<<20, *cacheDir, *jobs, peerAddrs)
+	srv, err := cluster.NewWorkerServerJobs(*addr, *cacheMB<<20, *cacheDir, *jobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "warpworker:", err)
 		os.Exit(1)
 	}
-	if len(peerAddrs) > 0 {
-		fmt.Printf("warpworker: serving compile requests on %s (%d concurrent jobs, %d peers)\n", srv.Addr(), *jobs, len(peerAddrs))
-	} else {
-		fmt.Printf("warpworker: serving compile requests on %s (%d concurrent jobs)\n", srv.Addr(), *jobs)
-	}
+	fmt.Printf("warpworker: serving compile requests on %s (%d concurrent jobs)\n", srv.Addr(), *jobs)
 
 	// Serve until asked to stop, then drain.
 	sig := make(chan os.Signal, 1)

@@ -46,7 +46,7 @@ type faultyWorker struct {
 // CompileBatch draws one fault per call — a faulted unit fails (or hangs,
 // or drops) whole, driving the client's split or retry path.
 func (f *faultyWorker) CompileBatch(req core.BatchRequest, reply *cluster.BatchReply) error {
-	if _, err := f.plan.Inject(f.conn); err != nil {
+	if err := f.plan.Inject(f.conn); err != nil {
 		return err
 	}
 	return f.Worker.CompileBatch(req, reply)

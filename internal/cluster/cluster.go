@@ -23,8 +23,8 @@
 // which the worker checks and keeps for the next unit (the shared-file-
 // server analog). Per-request wire bytes drop from O(|source|) to O(1).
 //
-// Workers are served by internal/wire, the transport the peer protocol
-// shares: one rpc.Server per connection, calls under wire.Call's deadline.
+// Workers are served by internal/wire: one rpc.Server per connection, calls
+// under wire.Call's deadline.
 //
 // Unlike the paper's system — where a workstation failing mid-compile
 // failed the compilation — the RPCPool is fault-tolerant. Calls carry
@@ -46,7 +46,6 @@ import (
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/fcache"
-	"repro/internal/peercache"
 	"repro/internal/wire"
 )
 
@@ -112,7 +111,9 @@ func (p *LocalPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]
 // Worker is the RPC service run by each workstation process. net/rpc spawns
 // one goroutine per pending request, so without a bound a burst of batch
 // RPCs would oversubscribe the machine; the jobs semaphore admits at most
-// Jobs() compiles at a time and queues the rest (FCFS). The default of one
+// Jobs() compiles at a time and queues the rest (FCFS). Only compiling
+// takes a slot: a request answered from the cache, or answered
+// missing-source, never waits behind running compiles. The default of one
 // job reproduces the paper's single-CPU SUN workstations. The worker keeps
 // a per-process artifact cache across requests.
 type Worker struct {
@@ -221,15 +222,13 @@ func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 		return codeErr(CodeUnavailable, "worker: draining, not accepting new compiles")
 	}
 	defer w.inflight.Done()
-	release := w.acquireSlot()
-	defer release()
 	if len(req.Source) == 0 {
 		src, ok := w.cache.Source(req.SourceHash)
 		if !ok {
 			// The source is not resident, but a hash-only batch whose every
 			// item hits the object tier (in warm runs the disk tier makes this
-			// the common case for a fresh worker) or a peer that already
-			// compiled it needs no source at all — the incremental fast path.
+			// the common case for a fresh worker) needs no source at all —
+			// the incremental fast path.
 			if replies, all := w.batchFromCache(&req); all {
 				reply.Replies = replies
 				return nil
@@ -243,9 +242,11 @@ func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 		}
 		w.cache.PutSource(req.SourceHash, req.Source)
 	}
-	// net/rpc carries no context; the pool cancels by severing the
-	// connection instead.
+	// net/rpc carries no context: a call the pool abandons still runs to
+	// completion here, and its reply is discarded.
+	release := w.acquireSlot()
 	rs, err := core.RunBatchWith(context.Background(), req, w.cache)
+	release()
 	if err != nil {
 		return codeErr(CodeCompile, "%v", err)
 	}
@@ -257,13 +258,12 @@ func (w *Worker) CompileBatch(req core.BatchRequest, reply *BatchReply) error {
 }
 
 // batchFromCache tries to answer every item of a batch from the object
-// tier — local tiers first, then peers. It reports all=false as soon as one
-// item misses everywhere (the caller then demands the source and compiles
-// normally).
+// tier (memory, then disk). It reports all=false as soon as one item misses
+// (the caller then demands the source and compiles normally).
 func (w *Worker) batchFromCache(req *core.BatchRequest) (replies []core.CompileReply, all bool) {
 	replies = make([]core.CompileReply, len(req.Items))
 	for i, it := range req.Items {
-		e, hit := compiler.LookupObjectAnywhere(w.cache, it.FuncHash, req.Opts)
+		e, hit := compiler.LookupObject(w.cache, it.FuncHash, req.Opts)
 		if !hit {
 			return nil, false
 		}
@@ -295,23 +295,18 @@ func (w *Worker) Ping(_ struct{}, ok *bool) error {
 
 // WorkerServer is a serving worker with a lifecycle: Close kills it the way
 // a workstation crash would, Shutdown drains it the way an operator's
-// SIGTERM should. Every worker also answers the peer-cache protocol
-// ("Peer" service, internal/peercache) on the same listener, so its address
-// doubles as its peer address; workers started with peer addresses
-// additionally fetch from those siblings before recompiling.
+// SIGTERM should.
 type WorkerServer struct {
-	srv        *wire.Server
-	worker     *Worker
-	addr       string
-	peerSvc    *peercache.Service
-	peerClient *peercache.Peers
+	srv    *wire.Server
+	worker *Worker
+	addr   string
 }
 
 // NewWorkerServer listens on addr (e.g. "127.0.0.1:0") and serves compile
 // requests with a cache bounded to cacheBytes (< 1 selects the default)
 // until closed or shut down.
 func NewWorkerServer(addr string, cacheBytes int64) (*WorkerServer, error) {
-	return serveWorkerPeers(addr, NewWorker(cacheBytes), nil)
+	return serveWorker(addr, NewWorker(cacheBytes))
 }
 
 // NewWorkerServerDir is NewWorkerServer with an explicit disk cache
@@ -319,48 +314,32 @@ func NewWorkerServer(addr string, cacheBytes int64) (*WorkerServer, error) {
 // means no disk tier beyond the environment's). Several workers may share
 // one directory — entries are content-addressed and deterministic.
 func NewWorkerServerDir(addr string, cacheBytes int64, dir string) (*WorkerServer, error) {
-	return NewWorkerServerPeers(addr, cacheBytes, dir, 1, nil)
+	return NewWorkerServerJobs(addr, cacheBytes, dir, 1)
 }
 
-// NewWorkerServerPeers is NewWorkerServerDir with an explicit concurrent-
-// compile bound, joined to a peer fleet. Up to jobs compiles run
-// simultaneously and the rest queue (jobs < 1 is treated as 1). The
-// worker's cache fetches finished objects from the given peer addresses
-// (other workers' or daemons' peer listeners) before recompiling, and its
-// own address is gossiped to them so the mesh converges. An empty peers
-// list still serves the peer protocol — other processes may fetch from this
-// worker — it just fetches from nobody. cmd/warpworker exposes the bound as
-// -jobs (defaulting to the machine's CPU count) and the fleet as -peers.
-func NewWorkerServerPeers(addr string, cacheBytes int64, dir string, jobs int, peers []string) (*WorkerServer, error) {
+// NewWorkerServerJobs is NewWorkerServerDir with an explicit concurrent-
+// compile bound: up to jobs compiles run simultaneously and the rest queue
+// (jobs < 1 is treated as 1). cmd/warpworker exposes the bound as -jobs
+// (defaulting to the machine's CPU count).
+func NewWorkerServerJobs(addr string, cacheBytes int64, dir string, jobs int) (*WorkerServer, error) {
 	w := NewWorkerJobs(cacheBytes, jobs)
 	if dir != "" {
 		if err := w.cache.AttachDisk(dir, 0); err != nil {
 			return nil, err
 		}
 	}
-	return serveWorkerPeers(addr, w, peers)
+	return serveWorker(addr, w)
 }
 
-func serveWorkerPeers(addr string, w *Worker, peers []string) (*WorkerServer, error) {
+func serveWorker(addr string, w *Worker) (*WorkerServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	bound := ln.Addr().String()
-	// The peer service shares the worker's listener: the worker address is
-	// the peer address. It answers from local tiers only, so a fetch can
-	// never recurse back out to the fleet.
-	ws := &WorkerServer{worker: w, addr: bound, peerSvc: peercache.NewService(w.cache, bound, nil)}
-	if len(peers) > 0 {
-		ws.peerSvc.AddPeers(peers)
-		ws.peerClient = peercache.New(peercache.ClientOptions{Self: bound})
-		ws.peerClient.Connect(peers...)
-		w.cache.AttachPeers(ws.peerClient)
-	}
-	ws.srv = wire.Serve(ln, func(c *wire.Conn) map[string]any {
-		return map[string]any{"Worker": w, peercache.ServiceName: ws.peerSvc.On(c)}
+	srv := wire.Serve(ln, func(*wire.Conn) map[string]any {
+		return map[string]any{"Worker": w}
 	})
-	return ws, nil
+	return &WorkerServer{srv: srv, worker: w, addr: srv.Addr()}, nil
 }
 
 // Addr returns the bound listen address.
@@ -371,13 +350,7 @@ func (s *WorkerServer) Worker() *Worker { return s.worker }
 
 // Close stops accepting and severs every live connection immediately — the
 // workstation-crash behavior used by fault tests.
-func (s *WorkerServer) Close() error {
-	err := s.srv.Close()
-	if s.peerClient != nil {
-		s.peerClient.Close()
-	}
-	return err
-}
+func (s *WorkerServer) Close() error { return s.srv.Close() }
 
 // Shutdown stops accepting new connections, refuses new compiles, waits up
 // to grace for in-flight compiles to finish, then severs the remaining

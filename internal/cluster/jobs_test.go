@@ -97,3 +97,33 @@ func TestWorkerJobsBlockUntilSlotFree(t *testing.T) {
 		t.Errorf("peak concurrency = %d, want 1", pk)
 	}
 }
+
+// TestMissingSourceAnsweredWhileSlotHeld: only compiling takes a slot. With
+// the one slot of a -jobs 1 worker held, a hash-only request for a source
+// the worker has never seen is still answered missing-source at once,
+// instead of queueing behind the running compile just to ask for the
+// source.
+func TestMissingSourceAnsweredWhileSlotHeld(t *testing.T) {
+	t.Setenv(fcache.EnvCacheDir, "")
+	w := NewWorkerJobs(0, 1)
+	release := w.acquireSlot() // a compile is running
+	defer release()
+
+	src := wgen.SyntheticProgram(wgen.Tiny, 1)
+	done := make(chan error, 1)
+	go func() {
+		var reply BatchReply
+		done <- w.CompileBatch(core.BatchRequest{
+			File: "m.w2", SourceHash: fcache.HashSource(src),
+			Items: []core.BatchItem{{Section: 1, Index: 0}},
+		}, &reply)
+	}()
+	select {
+	case err := <-done:
+		if CodeOf(err) != CodeMissingSource {
+			t.Fatalf("hash-only request answered %v, want %s", err, CodeMissingSource)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("hash-only request queued behind the held compile slot")
+	}
+}

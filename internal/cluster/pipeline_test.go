@@ -3,12 +3,13 @@ package cluster_test
 // Pipeline tests over real RPC workers: the overlapped master's output must
 // match the sequential compiler, a chaos-injected hang in one section must
 // cancel its siblings promptly (no waiting out the straggler, no goroutine
-// leak), and a caller cancelling mid-stream must sever the in-flight RPC and
-// leave the pool healthy for the retry.
+// leak), and a caller cancelling mid-stream must abandon the in-flight RPC
+// and leave the pool, and other builds on it, undisturbed.
 
 import (
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -110,7 +111,7 @@ func TestHangCancelsSiblingSections(t *testing.T) {
 
 // TestMidStreamCancellationRPC cancels the caller's context while the
 // straggler function hangs in flight on a real RPC worker: the master must
-// return the cancellation promptly (severing the in-flight call instead of
+// return the cancellation promptly (abandoning the in-flight call instead of
 // waiting out the hang), and the same pool must serve a clean, word-
 // identical retry afterwards.
 func TestMidStreamCancellationRPC(t *testing.T) {
@@ -150,10 +151,98 @@ func TestMidStreamCancellationRPC(t *testing.T) {
 			t.Fatalf("cancellation masked: %v", cerr)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("cancellation did not sever the in-flight RPC")
+		t.Fatal("cancellation did not abandon the in-flight RPC")
 	}
 
-	// The pool recycled the severed worker: the retry on the very same pool
-	// passes through (script exhausted) and matches sequential.
+	// The worker went back into rotation with the abandoned call still
+	// parked on it: the retry on the very same pool and connection passes
+	// through (script exhausted) and matches sequential.
 	compileBoth(t, "mixed.w2", src, pool)
+}
+
+// hangFirst is a worker that reports each compile call on arrived (without
+// blocking once its buffer is full) and then applies plan to it.
+type hangFirst struct {
+	*cluster.Worker
+	conn    *wire.Conn
+	plan    *wire.Plan
+	arrived chan<- struct{}
+}
+
+func (h *hangFirst) CompileBatch(req core.BatchRequest, reply *cluster.BatchReply) error {
+	select {
+	case h.arrived <- struct{}{}:
+	default:
+	}
+	if err := h.plan.Inject(h.conn); err != nil {
+		return err
+	}
+	return h.Worker.CompileBatch(req, reply)
+}
+
+// TestCancelledBuildLeavesSiblingAlone runs two builds on one RPCPool whose
+// only worker hangs build A's first call. Build A is cancelled while that
+// call is in flight. Cancelling abandons the call but keeps the worker's
+// connection, so build B runs on it to a word-identical module with no
+// retry and no failover.
+func TestCancelledBuildLeavesSiblingAlone(t *testing.T) {
+	noAmbientDiskCache(t)
+	src := wgen.SyntheticProgram(wgen.Small, 8)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := cluster.NewWorker(0)
+	plan := wire.Script(wire.Fault{Kind: wire.Hang})
+	arrived := make(chan struct{}, 1)
+	srv := wire.Serve(ln, func(c *wire.Conn) map[string]any {
+		return map[string]any{"Worker": &hangFirst{Worker: w, conn: c, plan: plan, arrived: arrived}}
+	})
+	defer srv.Close()
+	// No call deadline: the test counts retries, and a compile slowed down
+	// by the race detector must not expire into one.
+	opts := fastOpts()
+	opts.CallTimeout = -1
+	pool, err := cluster.DialPoolWith([]string{srv.Addr()}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	doneA := make(chan error, 1)
+	go func() {
+		_, _, err := core.ParallelCompileContext(ctxA, "a.w2", src, pool, compiler.Options{}, core.ParallelOptions{})
+		doneA <- err
+	}()
+	<-arrived
+
+	type result struct {
+		res *compiler.Result
+		st  *core.ParallelStats
+		err error
+	}
+	doneB := make(chan result, 1)
+	go func() {
+		res, st, err := core.ParallelCompile("b.w2", src, pool, compiler.Options{})
+		doneB <- result{res, st, err}
+	}()
+	cancelA()
+	if err := <-doneA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("build A answered %v, want context.Canceled", err)
+	}
+	b := <-doneB
+	if b.err != nil {
+		t.Fatalf("build B: %v", b.err)
+	}
+	seq, err := compiler.CompileModule("b.w2", src, compiler.Options{})
+	if err != nil {
+		t.Fatalf("sequential: %v", err)
+	}
+	if err := core.VerifySameOutput(seq.Module, b.res.Module); err != nil {
+		t.Errorf("build B differs from sequential: %v", err)
+	}
+	if f := b.st.Faults; f.Retries != 0 || f.Failovers != 0 {
+		t.Errorf("build B saw retries=%d failovers=%d after A's cancellation, want 0 and 0 (%s)", f.Retries, f.Failovers, f)
+	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fcache"
-	"repro/internal/peercache"
 	"repro/internal/wire"
 )
 
@@ -55,13 +54,6 @@ type PoolOptions struct {
 	// warpcc process short-circuits unchanged functions from a previous
 	// process's work. Empty means environment-default.
 	CacheDir string
-	// Peers attaches a peer-to-peer fill tier (internal/peercache) to the
-	// master-side cache: section masters batch-prefetch predicted-hot
-	// objects from these addresses before dispatching, so a cold master in
-	// a warm fleet syncs artifacts instead of recompiling. Worker addresses
-	// double as peer addresses (the "Peer" service shares each worker's
-	// listener). Unreachable peers are skipped — the tier is best-effort.
-	Peers []string
 }
 
 // withDefaults fills unset fields.
@@ -168,9 +160,6 @@ type RPCPool struct {
 	// frontend every compilation), and local-fallback compiles share it so
 	// a whole module falling back parses once, like a LocalPool.
 	masterCache *fcache.Cache
-	// peerClient is the master's view of the peer fleet (nil without
-	// opts.Peers), attached to masterCache as its fill tier.
-	peerClient *peercache.Peers
 
 	mu      sync.Mutex
 	healthy int // workers not quarantined (free or checked out)
@@ -204,11 +193,6 @@ func DialPoolWith(addrs []string, opts PoolOptions) (*RPCPool, error) {
 		closed:      make(chan struct{}),
 		rng:         rand.New(rand.NewSource(opts.Seed)),
 		masterCache: masterCache,
-	}
-	if len(opts.Peers) > 0 {
-		p.peerClient = peercache.New(peercache.ClientOptions{})
-		p.peerClient.Connect(opts.Peers...)
-		masterCache.AttachPeers(p.peerClient)
 	}
 	var firstErr error
 	for _, a := range addrs {
@@ -309,9 +293,9 @@ func (p *RPCPool) Compile(ctx context.Context, req core.CompileRequest) (*core.C
 // the compilation completes even with the whole cluster down. A
 // deterministic answer (compile error, bad request) fails the unit at once:
 // every worker would answer the same, and replaying a poisoned unit would
-// just spread it. A cancelled ctx severs the in-flight RPC (net/rpc has no
-// cancellation: the transport is closed) and returns ctx.Err() — no retry,
-// no fallback.
+// just spread it. A cancelled ctx abandons the in-flight RPC and returns
+// ctx.Err() — no retry, no fallback. The connection stays up, so calls of
+// other builds on the same worker are not disturbed.
 func (p *RPCPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]*core.CompileReply, error) {
 	if req.SourceHash.IsZero() && len(req.Source) > 0 {
 		req.SourceHash = fcache.HashSource(req.Source)
@@ -339,9 +323,15 @@ func (p *RPCPool) CompileBatch(ctx context.Context, req core.BatchRequest) ([]*c
 			return replies, nil
 		}
 		if ctx.Err() != nil {
-			// The master cancelled mid-call: the severed transport is not
-			// the worker's fault, so recycle it instead of penalizing.
-			p.recycle(w)
+			// The master gave up mid-call. An abandoned call leaves the
+			// connection intact, so the worker goes straight back into
+			// rotation; only a call that broke its connection on its own
+			// (deadline, transport) as the master cancelled costs a re-dial.
+			if transient(err) && !errors.Is(err, ctx.Err()) {
+				p.penalize(w, err)
+			} else {
+				p.free <- w
+			}
 			return nil, ctx.Err()
 		}
 		if !transient(err) {
@@ -392,25 +382,6 @@ func (p *RPCPool) acquire(ctx context.Context) *poolWorker {
 			// while we waited, leaving nothing to wait for.
 		}
 	}
-}
-
-// recycle returns a worker whose transport the master itself severed
-// (cancellation). No failure is counted against it: the connection is
-// re-dialed and the worker rejoins the rotation, or — if unreachable right
-// now — is parked in quarantine for the readmission probe to pick up.
-func (p *RPCPool) recycle(w *poolWorker) {
-	w.mu.Lock()
-	if w.client != nil {
-		w.client.Close()
-		w.client = nil
-	}
-	w.mu.Unlock()
-	if c, err := p.dialWorker(w.addr); err == nil {
-		w.setClient(c)
-		p.free <- w
-		return
-	}
-	p.quarantine(w, fmt.Errorf("re-dial after cancellation failed"))
 }
 
 // release returns a worker that served successfully to the free ring.
@@ -605,8 +576,8 @@ func (p *RPCPool) splitBatch(ctx context.Context, req core.BatchRequest, cause e
 }
 
 // batchOn sends one unit to worker w. The request travels hash-only: a
-// worker that holds the source, or answers every item from its object tier
-// or its peers, needs nothing more — the paper's workstations likewise read
+// worker that holds the source, or answers every item from its object tier,
+// needs nothing more — the paper's workstations likewise read
 // the source from the shared file server rather than receiving it in each
 // message. A missing-source answer sends the request once more with the
 // source, which the worker checks against the hash and keeps for the
@@ -660,26 +631,12 @@ func (p *RPCPool) CacheStats() fcache.Stats {
 	}
 	s.RPCBytesSaved += atomic.LoadInt64(&p.bytesSaved)
 	s.SourcePushes += atomic.LoadInt64(&p.pushes)
-	// The master's own peer traffic (prefetch before dispatch, fills on
-	// local fallback) lives in the master cache, not any worker's. Merge
-	// just its peer counters so the aggregate keeps meaning "the compile's
-	// peer activity" without double-counting the memory/disk tiers.
-	ms := p.masterCache.Stats()
-	s.PeerHits += ms.PeerHits
-	s.PeerMisses += ms.PeerMisses
-	s.PeerErrors += ms.PeerErrors
-	s.PeerBytes += ms.PeerBytes
-	s.PeerPrefetched += ms.PeerPrefetched
-	s.PeerServed += ms.PeerServed
 	return s
 }
 
 // Close tears down all connections and stops the readmission probe.
 func (p *RPCPool) Close() {
 	p.closeOnce.Do(func() { close(p.closed) })
-	if p.peerClient != nil {
-		p.peerClient.Close()
-	}
 	for _, w := range p.workers {
 		w.mu.Lock()
 		if w.client != nil {

@@ -233,25 +233,6 @@ func LookupObject(cache *fcache.Cache, fh fcache.FuncHash, opts Options) (*fcach
 	return cache.PeekObject(fh, OptsKey(opts))
 }
 
-// LookupObjectAnywhere is LookupObject extended to the fleet: a local miss
-// consults the cache's peer tier (if attached) before reporting failure. A
-// peer hit is installed locally, so the next probe for the same hash is a
-// plain memory hit. Without peers it is exactly LookupObject.
-func LookupObjectAnywhere(cache *fcache.Cache, fh fcache.FuncHash, opts Options) (*fcache.ObjectEntry, bool) {
-	if e, ok := cache.PeekObject(fh, OptsKey(opts)); ok {
-		return e, true
-	}
-	return cache.PeerObject(fh, OptsKey(opts))
-}
-
-// PrefetchObjects batch-fills the cache from peers for the given function
-// hashes under one options variant — the master's pre-dispatch pull of
-// everything the outline predicts it will need. Returns how many entries
-// were filled (0 without peers).
-func PrefetchObjects(cache *fcache.Cache, fhs []fcache.FuncHash, opts Options) int {
-	return cache.PrefetchObjects(fhs, OptsKey(opts))
-}
-
 // OptsKey fingerprints an Options value for the object-tier cache key. The
 // zero value — every production compile — short-circuits past the reflective
 // formatting, which otherwise costs more than the cache hit it keys.

@@ -117,8 +117,8 @@ func packageFrontendEntry(m *ast.Module, info *sem.Info, bag *source.DiagBag, sr
 // (fcache.Cache.ClaimFrontend; call the returned function exactly once) and
 // with a selectable frontend: on a miss with fopts.Parallel the entry is
 // built by FrontendParallel, which fills the same tier the sequential one
-// reads (the artifacts are word-identical). A cancelled parallel build's
-// error reaches every waiter that can take one and caches nothing.
+// reads (the artifacts are word-identical). A cancelled parallel build
+// caches nothing, and its error reaches only its own caller.
 func ClaimFrontendEntry(ctx context.Context, cache *fcache.Cache, h fcache.SourceHash, file string, src []byte, fopts FrontendOptions) func() (*fcache.FrontendEntry, error) {
 	return cache.ClaimFrontend(h, func() (*fcache.FrontendEntry, int64, error) {
 		if !fopts.Parallel {

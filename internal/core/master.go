@@ -238,23 +238,6 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	defer build.Close()
 	fleetBase := fleet.Stats()
 
-	// With a peer fleet attached, the master batch-prefetches before any
-	// dispatch: the outline already names every function hash this compile
-	// can need, so one bounded-concurrency sweep pulls the fleet's finished
-	// artifacts into the master cache. Each section master's per-function
-	// probe (compiler.LookupObject) then short-circuits those functions as
-	// "unchanged" without dispatching — a cold restart in a warm fleet
-	// syncs keys instead of recompiling the world.
-	if masterCache.HasPeers() {
-		var fhs []fcache.FuncHash
-		for _, so := range outline.Sections {
-			for _, fo := range so.Functions {
-				fhs = append(fhs, fcache.FuncHash(fo.Hash))
-			}
-		}
-		compiler.PrefetchObjects(masterCache, fhs, opts)
-	}
-
 	// The pipeline context: the first fatal error — or the caller's own
 	// cancellation — severs every other in-flight leg through it. The
 	// frontend leg is the exception: it answers to the caller's context

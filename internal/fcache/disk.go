@@ -1,7 +1,6 @@
 package fcache
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -14,11 +13,6 @@ import (
 
 // DefaultDiskMaxBytes is the default size cap of a disk-backed object tier.
 const DefaultDiskMaxBytes = 1 << 30
-
-// DefaultHardCapFactor scales the soft byte cap into the hard one for
-// replica-aware eviction: sole-holder entries may keep the tier above the
-// soft cap, but never above factor × cap.
-const DefaultHardCapFactor = 2
 
 // diskTier persists object-tier entries as content-addressed files so a
 // fresh process over the same directory starts warm. Layout and protocol:
@@ -39,25 +33,12 @@ const DefaultHardCapFactor = 2
 //   - The file mtime doubles as the access time: hits touch it, and when the
 //     directory exceeds its byte cap the oldest-mtime files are removed
 //     first.
-//
-// With a peer view attached (AttachPeers), eviction is fleet-aware: entries
-// some sibling also holds are redundant replicas and go first; entries this
-// tier is the last known holder of survive the soft cap and are evicted
-// oldest-first only once the directory exceeds the hard cap (hardMax).
-// Losing the last replica of a hash costs the whole fleet a recompile;
-// losing a redundant one costs a 32-byte refetch.
 type diskTier struct {
 	mu    sync.Mutex
 	dir   string
 	max   int64
-	hard  int64
 	used  int64
 	files map[string]diskFile // filename -> size and last access
-
-	// replicas reports how many peers are believed to hold the entry whose
-	// cache key digests to the argument (nil without a peer view). It is
-	// called with mu held and must not call back into the tier.
-	replicas func(digest [sha256.Size]byte) int
 }
 
 type diskFile struct {
@@ -68,17 +49,6 @@ type diskFile struct {
 func diskFileName(key string) string {
 	sum := KeyDigest(key)
 	return "o-" + hex.EncodeToString(sum[:]) + ".wfc"
-}
-
-// digestOfName recovers the key digest encoded in an object file's name.
-func digestOfName(name string) (d [sha256.Size]byte, ok bool) {
-	hexPart := strings.TrimSuffix(strings.TrimPrefix(name, "o-"), ".wfc")
-	raw, err := hex.DecodeString(hexPart)
-	if err != nil || len(raw) != sha256.Size {
-		return d, false
-	}
-	copy(d[:], raw)
-	return d, true
 }
 
 // openDiskTier opens (creating if needed) dir as a persistent object tier:
@@ -95,7 +65,7 @@ func openDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &diskTier{dir: dir, max: maxBytes, hard: DefaultHardCapFactor * maxBytes, files: make(map[string]diskFile)}
+	d := &diskTier{dir: dir, max: maxBytes, files: make(map[string]diskFile)}
 	for _, e := range entries {
 		name := e.Name()
 		switch {
@@ -114,22 +84,6 @@ func openDiskTier(dir string, maxBytes int64) (*diskTier, error) {
 	d.evictLocked()
 	d.mu.Unlock()
 	return d, nil
-}
-
-// digests lists the key digests of every resident object file — the disk
-// tier's contribution to the peer protocol's Bloom summary. Filenames are
-// the digests, so a freshly scanned directory is summarizable without
-// reading a single record.
-func (d *diskTier) digests() [][sha256.Size]byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([][sha256.Size]byte, 0, len(d.files))
-	for name := range d.files {
-		if dg, ok := digestOfName(name); ok {
-			out = append(out, dg)
-		}
-	}
-	return out
 }
 
 // load reads the entry stored under key. ok=false with a nil error is a
@@ -210,21 +164,8 @@ func (d *diskTier) discard(name string) {
 	d.forget(name)
 }
 
-// setReplicas installs the peer view consulted by fleet-aware eviction.
-func (d *diskTier) setReplicas(f func(digest [sha256.Size]byte) int) {
-	d.mu.Lock()
-	d.replicas = f
-	d.mu.Unlock()
-}
-
-// evictLocked removes files until the tier fits its caps, returning the
-// number removed. Caller holds d.mu.
-//
-// Without a peer view this is plain LRU against the (soft) byte cap. With
-// one, redundant replicas — entries whose key digest some peer's summary
-// also claims — are evicted first, oldest-accessed first; entries this tier
-// believes it is the last holder of are kept past the soft cap and evicted
-// (again oldest first) only while the directory exceeds the hard cap.
+// evictLocked removes the least recently accessed files until the tier fits
+// its byte cap, returning the number removed. Caller holds d.mu.
 func (d *diskTier) evictLocked() int64 {
 	if d.used <= d.max {
 		return 0
@@ -238,47 +179,14 @@ func (d *diskTier) evictLocked() int64 {
 		all = append(all, aged{name, f})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].f.atime.Before(all[j].f.atime) })
-	remove := func(a aged) {
-		os.Remove(filepath.Join(d.dir, a.name))
-		d.used -= a.f.size
-		delete(d.files, a.name)
-	}
 	var n int64
-	if d.replicas == nil {
-		for _, a := range all {
-			if d.used <= d.max {
-				break
-			}
-			remove(a)
-			n++
-		}
-		return n
-	}
-	// Fleet-aware pass 1: redundant replicas go first. A digest that cannot
-	// be recovered from the filename is conservatively treated as
-	// sole-holder (protected until the hard cap).
-	removed := make(map[string]bool)
 	for _, a := range all {
 		if d.used <= d.max {
 			break
 		}
-		dg, ok := digestOfName(a.name)
-		if !ok || d.replicas(dg) < 1 {
-			continue
-		}
-		remove(a)
-		removed[a.name] = true
-		n++
-	}
-	// Pass 2: the last holder of a hash evicts it only past the hard cap.
-	for _, a := range all {
-		if d.used <= d.hard {
-			break
-		}
-		if removed[a.name] {
-			continue
-		}
-		remove(a)
+		os.Remove(filepath.Join(d.dir, a.name))
+		d.used -= a.f.size
+		delete(d.files, a.name)
 		n++
 	}
 	return n

@@ -8,15 +8,15 @@ import (
 	"testing"
 )
 
-// TestDiskEvictionRacesPeerFetch pins the atomicity contract between the
-// disk tier's eviction and a concurrent peer fetch of the same key: the
-// fetch path (LocalObject → diskLoad) must observe either the complete
-// record or a plain miss — never a partial record, never a counted
+// TestDiskEvictionRacesSharedDirLoad pins the atomicity contract between
+// one process's disk eviction and another process's load of the same key
+// from a shared directory: the load (diskLoad) must observe either the
+// complete record or a plain miss — never a partial record, never a counted
 // corruption. Eviction unlinks whole files and writes go through
 // rename-into-place, so a reader's os.ReadFile is all-or-nothing; this test
 // hammers that invariant under -race with a cap small enough that every
 // store evicts.
-func TestDiskEvictionRacesPeerFetch(t *testing.T) {
+func TestDiskEvictionRacesSharedDirLoad(t *testing.T) {
 	dir := t.TempDir()
 
 	// The writer owns eviction: a tier so small that each ~4 KiB entry
@@ -25,10 +25,8 @@ func TestDiskEvictionRacesPeerFetch(t *testing.T) {
 	if err := writer.AttachDisk(dir, 16<<10); err != nil {
 		t.Fatal(err)
 	}
-	// The reader stands in for the peer-serving side (Service.Fetch calls
-	// LocalObject on its own cache). A separate Cache over the same
-	// directory also covers the shared-directory case: eviction by one
-	// process racing a fetch served by another.
+	// The reader is a separate Cache over the same directory: eviction by
+	// one process racing a load by another.
 	reader := New(1 << 20)
 	if err := reader.AttachDisk(dir, DefaultDiskMaxBytes); err != nil {
 		t.Fatal(err)
@@ -66,8 +64,8 @@ func TestDiskEvictionRacesPeerFetch(t *testing.T) {
 		}
 	}()
 
-	// Readers: fetch the most recently stored keys the way a peer server
-	// would, racing the writer's eviction of those same files.
+	// Readers: load the most recently stored keys through the disk tier,
+	// racing the writer's eviction of those same files.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -85,14 +83,14 @@ func TestDiskEvictionRacesPeerFetch(t *testing.T) {
 				}
 				mu.Unlock()
 				for _, key := range keys {
-					if e, ok := reader.LocalObject(key); ok {
+					if e, ok := reader.diskLoad(key); ok {
 						// A hit must be the complete entry: right name,
 						// right body. DecodeEntry already rejected any
 						// torn read; this checks nothing was aliased.
 						var want byte
 						fmt.Sscanf(e.Name, "f%d", &want)
 						if len(e.ObjectBytes) != 4<<10 || e.ObjectBytes[0] != want {
-							t.Errorf("fetch of %s returned a mangled entry (name %s, %d bytes)",
+							t.Errorf("load of %s returned a mangled entry (name %s, %d bytes)",
 								key, e.Name, len(e.ObjectBytes))
 						}
 					}
@@ -107,7 +105,7 @@ func TestDiskEvictionRacesPeerFetch(t *testing.T) {
 	}
 	wg.Wait()
 
-	// An eviction racing a fetch must read as a plain miss, never as a
+	// An eviction racing a load must read as a plain miss, never as a
 	// corrupt record: DiskErrors counts only checksum/decode failures, and
 	// there must be none.
 	if s := reader.Stats(); s.DiskErrors != 0 {

@@ -43,7 +43,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 
 	"repro/internal/asm"
@@ -126,16 +125,6 @@ type Stats struct {
 	DiskWrites    int64
 	DiskEvictions int64
 	DiskErrors    int64 // corrupt or unreadable entries discarded
-	// Peer counters cover the peer-to-peer fill tier (zero without
-	// AttachPeers). PeerErrors counts transport-level failures — timeouts,
-	// dropped connections, corrupt replies — none of which say anything
-	// about any worker's ability to compile; they never feed quarantine.
-	PeerHits       int64
-	PeerMisses     int64
-	PeerErrors     int64
-	PeerBytes      int64 // object bytes filled from peers
-	PeerPrefetched int64 // entries pulled by batch prefetch before dispatch
-	PeerServed     int64 // local entries served to fetching peers
 }
 
 // Hits totals all tiers' hits (memory tiers plus disk).
@@ -169,12 +158,6 @@ func (s *Stats) Add(o Stats) {
 	s.DiskWrites += o.DiskWrites
 	s.DiskEvictions += o.DiskEvictions
 	s.DiskErrors += o.DiskErrors
-	s.PeerHits += o.PeerHits
-	s.PeerMisses += o.PeerMisses
-	s.PeerErrors += o.PeerErrors
-	s.PeerBytes += o.PeerBytes
-	s.PeerPrefetched += o.PeerPrefetched
-	s.PeerServed += o.PeerServed
 }
 
 // Sub subtracts a baseline snapshot from s, scoping cumulative counters to
@@ -201,12 +184,6 @@ func (s *Stats) Sub(base Stats) {
 	s.DiskWrites -= base.DiskWrites
 	s.DiskEvictions -= base.DiskEvictions
 	s.DiskErrors -= base.DiskErrors
-	s.PeerHits -= base.PeerHits
-	s.PeerMisses -= base.PeerMisses
-	s.PeerErrors -= base.PeerErrors
-	s.PeerBytes -= base.PeerBytes
-	s.PeerPrefetched -= base.PeerPrefetched
-	s.PeerServed -= base.PeerServed
 }
 
 func (s Stats) String() string {
@@ -217,10 +194,6 @@ func (s Stats) String() string {
 	if s.DiskHits+s.DiskMisses+s.DiskWrites+s.DiskErrors > 0 {
 		out += fmt.Sprintf("; disk %d/%d hit/miss, %d writes, %d evictions, %d errors",
 			s.DiskHits, s.DiskMisses, s.DiskWrites, s.DiskEvictions, s.DiskErrors)
-	}
-	if s.PeerHits+s.PeerMisses+s.PeerErrors+s.PeerPrefetched+s.PeerServed > 0 {
-		out += fmt.Sprintf("; peer %d/%d hit/miss, %d errors, %d B filled, %d prefetched, %d served",
-			s.PeerHits, s.PeerMisses, s.PeerErrors, s.PeerBytes, s.PeerPrefetched, s.PeerServed)
 	}
 	return out
 }
@@ -253,8 +226,7 @@ type FrontendEntry struct {
 //
 // Entries are shared and immutable. The exported fields are what persists:
 // EncodeEntry and DecodeEntry (record.go) are the one byte form, used by
-// the disk tier and the peer protocol alike. The decoded object is
-// reconstructed lazily and memoized.
+// the disk tier. The decoded object is reconstructed lazily and memoized.
 type ObjectEntry struct {
 	Name        string
 	Section     int
@@ -303,14 +275,7 @@ type Cache struct {
 	inflight map[string]*call
 	stats    Stats
 
-	disk  *diskTier // nil without a persistent object tier
-	peers PeerView  // nil without a peer fill tier (AttachPeers)
-
-	// objectGen counts object-tier arrivals (memory inserts of new obj:
-	// keys and disk writes). The peer protocol piggybacks it on fetch
-	// replies as a cheap staleness stamp for Bloom summaries: any change
-	// since a summary was taken means the summary may under-report.
-	objectGen int64
+	disk *diskTier // nil without a persistent object tier
 }
 
 type entry struct {
@@ -407,22 +372,29 @@ func (c *Cache) Frontend(h SourceHash, build func() (*FrontendEntry, int64)) *Fr
 // other work that needs the entry and build on another goroutine: every
 // Frontend call for h from then on waits on that build instead of running
 // its own. build may fail — the parallel frontend returns an error when its
-// context is cancelled — in which case the error reaches every waiter that
-// can take one, and nothing is cached, so a later request builds afresh.
+// context is cancelled — and then nothing is cached and only its own caller
+// gets the error: a waiter that joined it claims again, so one caller giving
+// up never fails another.
 func (c *Cache) ClaimFrontend(h SourceHash, build func() (*FrontendEntry, int64, error)) func() (*FrontendEntry, error) {
-	s := c.claim("fe:"+h.String(), tierFrontend)
+	key := "fe:" + h.String()
+	s := c.claim(key, tierFrontend)
 	return func() (*FrontendEntry, error) {
-		v, err := c.complete(s, func() (any, int64, error) {
-			e, cost, err := build()
-			if err != nil {
-				return nil, 0, err
+		for {
+			v, err := c.complete(s, func() (any, int64, error) {
+				e, cost, err := build()
+				if err != nil {
+					return nil, 0, err
+				}
+				return e, cost, nil
+			})
+			if err == nil {
+				return v.(*FrontendEntry), nil
 			}
-			return e, cost, nil
-		})
-		if err != nil {
-			return nil, err
+			if s.owner {
+				return nil, err
+			}
+			s = c.claim(key, tierFrontend)
 		}
-		return v.(*FrontendEntry), nil
 	}
 }
 
@@ -451,10 +423,8 @@ func (c *Cache) FuncIR(fh FuncHash, build func() (*ir.Func, error)) (*ir.Func, e
 // Object returns the finished artifact for the function whose compilation
 // inputs hash to fh under the given options variant, computing it with build
 // on a miss. Lookups check memory first, then the disk tier (if attached),
-// then the peer tier (if attached) — recompiling is the last resort; fresh
-// builds are written through to disk, and peer fills are too (making this
-// process a holder the fleet can fetch from). The entry is shared on hit, so
-// callers must treat it as immutable. Build errors are returned but not
+// and recompiling is the last resort; fresh builds are written through to
+// disk. The entry is shared on hit, so callers must treat it as immutable. Build errors are returned but not
 // cached. A zero fh builds without storing.
 func (c *Cache) Object(fh FuncHash, variant string, build func() (*ObjectEntry, error)) (*ObjectEntry, error) {
 	if fh.IsZero() {
@@ -463,10 +433,6 @@ func (c *Cache) Object(fh FuncHash, variant string, build func() (*ObjectEntry, 
 	key := objectKey(fh, variant)
 	v, err := c.getOrCompute(key, tierObject, func() (any, int64, error) {
 		if e, ok := c.diskLoad(key); ok {
-			return e, e.Cost(), nil
-		}
-		if e, ok := c.peerLoad(key); ok {
-			c.diskStore(key, e)
 			return e, e.Cost(), nil
 		}
 		e, err := build()
@@ -551,7 +517,6 @@ func (c *Cache) diskStore(key string, e *ObjectEntry) {
 	c.mu.Lock()
 	if written {
 		c.stats.DiskWrites++
-		c.objectGen++
 	}
 	c.stats.DiskEvictions += evicted
 	if err != nil {
@@ -705,9 +670,6 @@ func (c *Cache) insertLocked(key string, val any, cost int64) {
 	} else {
 		c.items[key] = c.ll.PushFront(&entry{key: key, val: val, cost: cost})
 		c.used += cost
-		if strings.HasPrefix(key, "obj:") {
-			c.objectGen++
-		}
 	}
 	for c.used > c.max {
 		back := c.ll.Back()

@@ -281,6 +281,31 @@ func TestClaimFrontendMakesLaterCallersWait(t *testing.T) {
 	}
 }
 
+// TestClaimFrontendWaiterOutlivesFailedClaim: a second claim that joined a
+// claimed build which then fails (its caller gave up) does not inherit the
+// error; it claims again and builds its own entry.
+func TestClaimFrontendWaiterOutlivesFailedClaim(t *testing.T) {
+	c := New(1 << 20)
+	h := HashSource([]byte("given up"))
+	fail := c.ClaimFrontend(h, func() (*FrontendEntry, int64, error) { return nil, 0, errors.New("context canceled") })
+	own := &FrontendEntry{}
+	joined := c.ClaimFrontend(h, func() (*FrontendEntry, int64, error) { return own, 64, nil })
+	got := make(chan error, 1)
+	go func() {
+		e, err := joined()
+		if err == nil && e != own {
+			err = errors.New("the waiter returned an entry it did not build")
+		}
+		got <- err
+	}()
+	if _, err := fail(); err == nil {
+		t.Fatal("the failing claimed build returned no error")
+	}
+	if err := <-got; err != nil {
+		t.Errorf("the waiter on a failed claim: %v", err)
+	}
+}
+
 // TestConcurrentErrorPropagatesToWaiters: every waiter on a failing
 // computation sees the error, and the key stays uncached.
 func TestConcurrentErrorPropagatesToWaiters(t *testing.T) {

@@ -9,11 +9,9 @@ import (
 )
 
 // The object record is the one byte form of a finished function (an
-// ObjectEntry): the disk tier's file contents and the peer protocol's fetch
-// payload. A peer reply is therefore verified by exactly the code that
-// verifies a disk read. The record binds the entry to the full cache key it
-// was stored under and ends in a checksum over every byte before it, so a
-// filename collision, a misaddressed fetch reply, a torn write or a flipped
+// ObjectEntry): the disk tier's file contents. The record binds the entry
+// to the full cache key it was stored under and ends in a checksum over
+// every byte before it, so a filename collision, a torn write or a flipped
 // bit is rejected before any field is trusted, and degrades to a cache miss
 // instead of poisoning a compilation.
 //
@@ -117,9 +115,7 @@ func DecodeEntry(key string, data []byte) (*ObjectEntry, error) {
 }
 
 // KeyDigest is the content address of a cache key itself: the SHA-256 the
-// disk tier derives filenames from and the peer protocol summarizes in
-// Bloom filters. Both sides computing it from the key alone is what lets a
-// peer test membership against a remote summary without shipping key lists.
+// disk tier derives filenames from.
 func KeyDigest(key string) [sha256.Size]byte {
 	return sha256.Sum256([]byte(key))
 }

@@ -27,9 +27,11 @@ func Take() Snapshot {
 }
 
 // Check fails t when a goroutine started since the snapshot is still alive
-// after a grace period. Goroutines whose stack contains one of the ignore
-// substrings (a function name such as "chaos.(*Server).acceptLoop") are
-// exempt: they belong to a server the test is still using.
+// after a grace period. Goroutines whose own frames contain one of the
+// ignore substrings (a function name such as "wire.(*Server).acceptLoop")
+// are exempt: they belong to a server the test is still using. The
+// "created by" line is not one of a goroutine's own frames, so exempting a
+// server loop does not exempt the goroutines that loop started.
 func (base Snapshot) Check(t testing.TB, ignore ...string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -53,8 +55,9 @@ next:
 		if base[id] {
 			continue
 		}
+		own, _, _ := strings.Cut(stack, "\ncreated by ")
 		for _, frame := range ignore {
-			if strings.Contains(stack, frame) {
+			if strings.Contains(own, frame) {
 				continue next
 			}
 		}

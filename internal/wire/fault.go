@@ -26,12 +26,6 @@ const (
 	// Drop cuts the connection under the call — a crash or network
 	// partition; the client sees a transport error.
 	Drop
-	// Corrupt serves the real reply with bytes flipped (peer fetches only),
-	// driving the client's checksum rejection.
-	Corrupt
-	// Miss answers "not found" regardless of holdings (peer fetches only) —
-	// a summary false positive, or an entry evicted since the summary.
-	Miss
 )
 
 // Fault is one scripted fault.
@@ -109,13 +103,12 @@ func (p *Plan) take() Fault {
 	return Fault{}
 }
 
-// Inject decides the next call's fault and carries out the generic kinds on
-// c, the connection the call arrived on: Delay waits and then lets the call
+// Inject decides the next call's fault and carries it out on c, the
+// connection the call arrived on: Delay waits and then lets the call
 // through, Hang waits and fails it, ErrorReply fails it, and Drop cuts c and
 // fails it. Waits end early when c ends. A non-nil error decides the call;
-// otherwise the caller serves it, applying the returned fault's
-// protocol-specific kinds (Corrupt, Miss) itself.
-func (p *Plan) Inject(c *Conn) (Fault, error) {
+// otherwise the caller serves it.
+func (p *Plan) Inject(c *Conn) error {
 	f := p.take()
 	switch f.Kind {
 	case Delay:
@@ -126,17 +119,17 @@ func (p *Plan) Inject(c *Conn) (Fault, error) {
 			d = time.Hour
 		}
 		c.wait(d)
-		return f, errors.New("chaos: hang released")
+		return errors.New("chaos: hang released")
 	case ErrorReply:
 		if f.Err == "" {
-			return f, errors.New("chaos: injected error")
+			return errors.New("chaos: injected error")
 		}
-		return f, errors.New(f.Err)
+		return errors.New(f.Err)
 	case Drop:
 		c.Close()
-		return f, errors.New("chaos: connection dropped")
+		return errors.New("chaos: connection dropped")
 	}
-	return f, nil
+	return nil
 }
 
 // wait sleeps for d or until the connection ends, whichever comes first.

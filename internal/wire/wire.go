@@ -1,6 +1,5 @@
-// Package wire is the transport the worker and peer protocols share: how a
-// connection is served, how a call is timed out, and how a call is broken
-// on purpose. The paper's master, section masters and function masters talk
+// Package wire is the transport of the worker protocol: how a connection is
+// served, how a call is timed out, and how a call is broken on purpose. The paper's master, section masters and function masters talk
 // only by messages between workstations; this package is the one place
 // those messages are carried.
 //
@@ -10,9 +9,10 @@
 //     and tracks every connection, so Close cuts them all the way a crash
 //     would, and each handler can act on its own connection.
 //   - Call issues one RPC under a deadline, abandoned early when its context
-//     is cancelled; an expired call fails with ErrDeadline.
+//     is cancelled; an expired call fails with ErrDeadline and cuts the
+//     connection, a cancelled one leaves it up.
 //   - Plan scripts or draws faults per call (fault.go); Plan.Inject carries
-//     out the generic kinds on the call's connection.
+//     them out on the call's connection.
 package wire
 
 import (
@@ -132,10 +132,12 @@ func (c *Conn) Read(p []byte) (int, error) {
 var ErrDeadline = errors.New("wire: call deadline exceeded")
 
 // Call issues one RPC on c with deadline d (negative: none), abandoned early
-// when ctx is cancelled. On expiry or cancellation c is closed: net/rpc has
-// no cancellation, so cutting the transport is the only way to make sure
-// the abandoned call never completes. Expiry returns an error wrapping
-// ErrDeadline; cancellation returns ctx.Err().
+// when ctx is cancelled. On expiry c is closed: net/rpc has no cancellation,
+// so cutting the transport is the only way to free a call stuck on a hung
+// server; the error wraps ErrDeadline. On cancellation the call is only
+// abandoned and ctx.Err() returned: c stays usable for other calls, and a
+// late reply lands in the call's buffered Done channel and in reply, which
+// the caller must therefore not read again.
 func Call(ctx context.Context, c *rpc.Client, method string, args, reply any, d time.Duration) error {
 	if d < 0 && ctx.Done() == nil {
 		return c.Call(method, args, reply)
@@ -154,7 +156,6 @@ func Call(ctx context.Context, c *rpc.Client, method string, args, reply any, d 
 		c.Close()
 		return fmt.Errorf("%w: %s after %v", ErrDeadline, method, d)
 	case <-ctx.Done():
-		c.Close()
 		return ctx.Err()
 	}
 }
