@@ -363,8 +363,7 @@ func printParallelStats(s *core.ParallelStats) {
 	if st.Shared {
 		fleet = "shared"
 	}
-	fmt.Printf("steal: steals=%d cross-build=%d batch-splits=%d steal-latency=%v idle-total=%v fleet=%s\n",
-		st.Steals, st.CrossBuildSteals, st.BatchSplits, st.StealLatency.Round(1000), idle.Round(1000), fleet)
+	fmt.Printf("fleet: idle-total=%v fleet=%s\n", idle.Round(1000), fleet)
 	fmt.Printf("incremental: unchanged=%d worker-hits=%d recompiled=%d recompile-ratio=%.2f\n",
 		d.UnchangedFuncs, d.IncrementalHits, d.RecompiledFuncs, d.RecompileRatio)
 	fmt.Printf("cache: %s\n", s.Cache)

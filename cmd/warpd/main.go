@@ -7,10 +7,10 @@
 // client disconnects. Identical concurrent submissions coalesce and
 // compile once.
 //
-// Concurrent jobs dispatch through one daemon-lifetime work-stealing
-// fleet: a slot left idle by one build's straggler tail steals another
-// build's queued units, with victims chosen by per-tenant service deficit
-// so a huge build cannot starve a small one.
+// Concurrent jobs dispatch through one daemon-lifetime queue: a slot left
+// idle by one build's straggler tail serves another build's queued units,
+// and a free slot takes the front-most unit of the least-served tenant so
+// a huge build cannot starve a small one.
 //
 // Daemons and workers share finished objects through one -cache-dir: a
 // second daemon started over a warm directory serves its first jobs from

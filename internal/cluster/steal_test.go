@@ -1,8 +1,9 @@
 package cluster_test
 
-// Work-stealing over real RPC workers: the shared fleet drives both pool
-// kinds, and mid-steal worker failures fall into the existing retry/failover
-// machinery — output stays word-identical to sequential throughout.
+// The dispatch fleet over real RPC workers: the one queue drives both pool
+// kinds, and worker failures mid-dispatch fall into the existing
+// retry/failover machinery — output stays word-identical to sequential
+// throughout.
 
 import (
 	"testing"
@@ -14,11 +15,11 @@ import (
 	"repro/internal/wire"
 )
 
-// TestStealRPCSkewedParity runs the stealer's target workload — one heavy
-// section and several near-empty ones — through real RPC workers with the
-// production defaults (stealing on): idle section masters' slots must be able
-// to take the heavy section's queued work, and the output must stay
-// word-identical.
+// TestStealRPCSkewedParity runs a skewed workload — one heavy section and
+// several near-empty ones — through real RPC workers with the production
+// defaults: every section's units share one queue, so slots the near-empty
+// sections leave free serve the heavy section's queued units, and the output
+// must stay word-identical.
 func TestStealRPCSkewedParity(t *testing.T) {
 	noAmbientDiskCache(t)
 	var addrs []string
@@ -52,10 +53,9 @@ func TestStealLocalPoolSkewedParity(t *testing.T) {
 	}
 }
 
-// TestStealChaosWorkerDiesMidSteal is the stealing chaos run: every worker
-// drops its first connection, so units — including stolen fragments already
-// rebalanced onto other slots — fail mid-flight and must retry or split
-// through the fault layer. The build must converge word-identical with the
+// TestStealChaosWorkerDiesMidSteal is the fleet's chaos run: every worker
+// drops its first connection, so queued units fail mid-flight and must retry
+// or split through the fault layer. The build must converge word-identical with the
 // recovery visible in the fault stats.
 func TestStealChaosWorkerDiesMidSteal(t *testing.T) {
 	noAmbientDiskCache(t)

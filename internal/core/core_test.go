@@ -309,12 +309,11 @@ func TestParallelPoliciesMatchSequential(t *testing.T) {
 					if d.Batches > 0 && d.BatchedFuncs < 2*d.Batches {
 						t.Errorf("batched funcs %d inconsistent with %d batches", d.BatchedFuncs, d.Batches)
 					}
-					// Planned units map 1:1 onto backend calls unless a steal
-					// cracked a queued batch open mid-flight; the batch-less
-					// backend makes one inner call per function.
+					// Planned units map 1:1 onto backend calls; the
+					// batch-less backend makes one inner call per function.
 					switch b := backend.(type) {
 					case *localBackend:
-						if stats.Steal.BatchSplits == 0 && b.calls != d.Units {
+						if b.calls != d.Units {
 							t.Errorf("backend served %d calls for %d units", b.calls, d.Units)
 						}
 					case batchlessBackend:

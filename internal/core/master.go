@@ -8,9 +8,10 @@
 //	                                the fleet on the first fatal error.
 //	section masters (one/section)   plan dispatch units from the structural
 //	                                outline (large functions first, small
-//	                                ones batched), fork one dispatcher per
-//	                                unit, then combine objects and
-//	                                diagnostics as replies stream in.
+//	                                ones batched), queue them on the one
+//	                                dispatch fleet in plan order, then
+//	                                combine objects and diagnostics as
+//	                                replies stream in.
 //	function masters(one/function)  run phases 2+3 for one function on
 //	                                some workstation of the backend.
 //
@@ -41,8 +42,8 @@ import (
 type SchedPolicy string
 
 const (
-	// SchedFCFS dispatches one request per function in declaration order —
-	// the paper's measured system.
+	// SchedFCFS dispatches one request per function in declaration order,
+	// each to the next free slot — the paper's measured system.
 	SchedFCFS SchedPolicy = "fcfs"
 	// SchedLPT orders dispatch by estimated cost, largest first, and packs
 	// functions below the batch threshold into shared batches — the paper's
@@ -58,7 +59,9 @@ const DefaultBatchThreshold = 100.0
 
 // ParallelOptions selects the dispatch policy of a parallel compilation.
 // The zero value means production defaults: LPT ordering with batching at
-// DefaultBatchThreshold.
+// DefaultBatchThreshold. Every policy runs on the same fleet, which serves
+// the plan's units first-come-first-served from one queue; a policy only
+// decides the order and grouping of the units it queues.
 type ParallelOptions struct {
 	// Sched is the ordering policy; empty means SchedLPT.
 	Sched SchedPolicy
@@ -71,7 +74,7 @@ type ParallelOptions struct {
 	// setting.
 	FrontendWorkers int
 
-	// fleet, when non-nil, is a daemon-lifetime shared stealing fleet this
+	// fleet, when non-nil, is a daemon-lifetime shared dispatch fleet this
 	// build dispatches through instead of constructing its own; tenant is
 	// the fair-share identity its units are tagged with (the same client
 	// identity the daemon's Admitter queues by). Unexported on purpose:
@@ -218,13 +221,13 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	srcHash := fcache.HashSource(src)
 	masterCache := backend.Cache()
 
-	// The work-stealing fleet: one set of dispatch slots shared by every
-	// section master, so a straggler section's queue is drained by its
-	// siblings' idle slots instead of waiting on its own. A standalone build
-	// sizes a private fleet to the backend and retires it on the way out;
-	// under warpd the daemon injects its daemon-lifetime fleet and this
-	// build only opens a tagged handle on it — completion waits on the
-	// build's own units, never the fleet's. Registered before cancel() so
+	// The dispatch fleet: one queue and one set of dispatch slots shared by
+	// every section master, so a straggler section's units are served by
+	// whichever slot comes free first. A standalone build sizes a private
+	// fleet to the backend and retires it on the way out; under warpd the
+	// daemon injects its daemon-lifetime fleet and this build only opens a
+	// tagged handle on it — completion waits on the build's own units,
+	// never the fleet's. Registered before cancel() so
 	// the deferred LIFO runs cancel first: whatever of this build is still
 	// queued when we unwind is dropped by Build.Close as cancelled orphans,
 	// and its in-flight units drain as immediate no-ops.
@@ -236,7 +239,7 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	}
 	build := fleet.Open(popts.tenant)
 	defer build.Close()
-	fleetBase := fleet.Stats()
+	idleBase := fleet.IdleTime()
 
 	// The pipeline context: the first fatal error — or the caller's own
 	// cancellation — severs every other in-flight leg through it. The
@@ -418,16 +421,11 @@ func ParallelCompileContext(ctx context.Context, file string, src []byte, backen
 	// accumulating through the link tail; on a shared fleet the idle delta
 	// since Open approximates this job's window.
 	build.Close()
-	bs := build.Stats()
-	stats.Steal.Steals = bs.Steals
-	stats.Steal.CrossBuildSteals = bs.CrossBuildSteals
-	stats.Steal.BatchSplits = bs.BatchSplits
-	stats.Steal.StealLatency = bs.StealLatency
 	if !stats.Steal.Shared {
 		fleet.Close()
 		fleet.Wait()
 	}
-	stats.Steal.IdleTime = idleDelta(fleet.Stats().IdleTime, fleetBase.IdleTime)
+	stats.Steal.IdleTime = idleDelta(fleet.IdleTime(), idleBase)
 	if total := outline.NumFunctions(); total > 0 {
 		stats.Dispatch.RecompiledFuncs = total - stats.Dispatch.UnchangedFuncs - stats.Dispatch.IncrementalHits
 		stats.Dispatch.RecompileRatio = float64(stats.Dispatch.RecompiledFuncs) / float64(total)

@@ -73,11 +73,9 @@ type unitDone struct {
 // answered on the spot and never reach sched.Plan, so the cost model only
 // schedules the functions that genuinely need compiling.
 //
-// The planned units feed the work-stealing fleet through the build handle:
-// execution order is whatever steals make it, unit boundaries may change
-// mid-flight (a steal can crack a queued batch open), and the combine loop
-// therefore counts remaining *tasks*, not units. Emission stays keyed by
-// declaration index.
+// The planned units feed the fleet's queue through the build handle in plan
+// order; each one is one backend call, delivered whole. Units finish in any
+// order, so emission stays keyed by declaration index.
 func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcache.SourceHash, so parser.SectionOutline, backend Backend, masterCache *fcache.Cache, build *sched.Build, opts compiler.Options, popts ParallelOptions) (*SectionResult, error) {
 	t0 := time.Now()
 	res := &SectionResult{
@@ -135,11 +133,9 @@ func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcac
 		})
 	}
 
-	// The channel is buffered to len(tasks) so deliveries never block on
-	// send: an early error return leaks no goroutines. Tasks, not units,
-	// bound the count — a steal can split one planned unit into several
-	// delivered fragments, but every fragment carries at least one task.
-	done := make(chan unitDone, len(tasks))
+	// The channel is buffered to len(units) so deliveries never block on
+	// send: an early error return leaks no goroutines.
+	done := make(chan unitDone, len(units))
 	deliver := func(u sched.Unit) {
 		replies, err := dispatch(u)
 		done <- unitDone{unit: u, replies: replies, err: err}
@@ -149,12 +145,9 @@ func runSectionMaster(ctx context.Context, file string, src []byte, srcHash fcac
 	// Streaming combine: decode each object the moment its reply lands.
 	// Slots are keyed by declaration index, so any request/reply skew —
 	// wrong count, wrong name, duplicate index — is a hard error, never a
-	// silently zeroed field. The loop runs until every *task* is accounted
-	// for: under stealing the number of delivered units is not known up
-	// front (splits), only the task total is.
-	for pending := len(tasks); pending > 0; {
+	// silently zeroed field.
+	for range units {
 		d := <-done
-		pending -= len(d.unit.Tasks)
 		if d.err != nil {
 			return nil, d.err
 		}

@@ -47,29 +47,23 @@ type DispatchStats struct {
 	RecompileRatio  float64
 }
 
-// StealStats reports the global work-stealing scheduler's activity during
-// one compilation.
+// StealStats reports the dispatch fleet's activity during one compilation.
+// The fleet is one FIFO queue with no stealing; the name stays because
+// cmd/warpbench reads ParallelStats.Steal.
 type StealStats struct {
 	// Shared reports that the fleet was a daemon-lifetime one multiplexing
 	// concurrent builds (false for the standalone per-build fleet).
 	Shared bool
-	// Steals counts steal operations that took this build's queued work (an
-	// idle slot raiding another slot's deque); CrossBuildSteals the subset
-	// where the thieving slot's previous unit belonged to a different build
-	// — only possible on a shared fleet; BatchSplits the subset that
-	// cracked a queued multi-function batch open mid-flight because the
-	// victim had nothing else to give.
-	Steals           int
-	CrossBuildSteals int
-	BatchSplits      int
-	// StealLatency totals the time thieving slots spent between running dry
-	// and acquiring this build's stolen work.
+	// Steals, BatchSplits and StealLatency are always zero: the fleet
+	// neither steals nor splits. Each is kept only because cmd/warpbench
+	// reads it.
+	Steals       int
+	BatchSplits  int
 	StealLatency time.Duration
 	// IdleTime decomposes starvation per dispatch slot: total time each
-	// slot spent parked with no work anywhere — the straggler overhead the
-	// stealer exists to shrink. On a shared fleet this is the fleet-wide
-	// idle accrued during this job's window (approximate under overlap,
-	// the way FaultStats deltas are).
+	// slot spent parked with nothing queued. On a shared fleet this is the
+	// fleet-wide idle accrued during this job's window (approximate under
+	// overlap, the way FaultStats deltas are).
 	IdleTime []time.Duration
 }
 
@@ -140,7 +134,7 @@ type ParallelStats struct {
 	Warnings int
 	// Dispatch summarizes scheduling decisions and estimator accuracy.
 	Dispatch DispatchStats
-	// Steal reports the work-stealing scheduler's rebalancing activity.
+	// Steal reports the dispatch fleet: shared or private, and per-slot idle.
 	Steal StealStats
 	// Pipeline reports the overlap won by the pipelined master.
 	Pipeline PipelineStats

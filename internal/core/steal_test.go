@@ -7,12 +7,12 @@ import (
 	"repro/internal/wgen"
 )
 
-// TestStealParityMatchesSequential is the stealer's parity suite on the
-// workloads that provoke steals and splits (skewed sections, batches of
-// small functions): output and warnings must be word-identical to the
-// sequential compiler at every worker count, on a backend that runs each
-// unit in one slot and on one that serves it a function at a time — steals
-// and splits reorder execution, never emission.
+// TestStealParityMatchesSequential is the fleet's parity suite on the
+// workloads whose units finish furthest out of order (skewed sections,
+// batches of small functions): output and warnings must be word-identical
+// to the sequential compiler at every worker count, on a backend that runs
+// each unit in one slot and on one that serves it a function at a time —
+// the queue reorders execution, never emission.
 func TestStealParityMatchesSequential(t *testing.T) {
 	programs := []struct {
 		name string

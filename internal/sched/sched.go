@@ -11,6 +11,11 @@
 // multi-function batches so per-request overhead is amortized — the fix for
 // the paper's headline negative result that small functions see no speedup
 // (per-function fork/RPC overhead up to 70% of elapsed time).
+//
+// Fleet runs a plan: one FIFO queue that every dispatch slot pops from, so
+// each unit goes to the next free slot in plan order. Plan(tasks, 0, n) fed
+// to it is the paper's FCFS master exactly; the default LPT plan differs
+// only in the order and grouping of the units it queues.
 package sched
 
 import (
@@ -55,14 +60,6 @@ func Costs(tasks []Task) []Costed {
 	for i, t := range tasks {
 		out[i] = Costed{Task: t, Cost: EstimateCost(t)}
 	}
-	return out
-}
-
-// FCFS returns the tasks in submission order: the distribution strategy of
-// the measured system, where each task goes to the next free workstation.
-func FCFS(tasks []Task) []Task {
-	out := make([]Task, len(tasks))
-	copy(out, tasks)
 	return out
 }
 
@@ -154,63 +151,11 @@ func Makespan(groups [][]Task) float64 {
 // per-request overhead over all of them.
 type Unit struct {
 	Tasks []Task
-	Cost  float64   // summed estimated cost
-	Costs []float64 // per-task costs, parallel to Tasks (may be nil on hand-built units)
+	Cost  float64 // summed estimated cost
 }
 
 // IsBatch reports whether the unit packs more than one function.
 func (u Unit) IsBatch() bool { return len(u.Tasks) > 1 }
-
-// taskCosts returns per-task costs for the unit, falling back to the static
-// estimator when the unit was built by hand without them.
-func (u Unit) taskCosts() []float64 {
-	if len(u.Costs) == len(u.Tasks) {
-		return u.Costs
-	}
-	cs := make([]float64, len(u.Tasks))
-	for i, t := range u.Tasks {
-		cs[i] = EstimateCost(t)
-	}
-	return cs
-}
-
-// SplitUnit cracks a multi-task unit open for a thief: the victim keeps a
-// front slice worth roughly half the estimated cost and the thief takes the
-// rest. Singleton units cannot split (ok=false, keep=u). Both halves are
-// fresh slices — the original unit is not aliased.
-func SplitUnit(u Unit) (keep, stolen Unit, ok bool) {
-	if len(u.Tasks) < 2 {
-		return u, Unit{}, false
-	}
-	costs := u.taskCosts()
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	cut, acc := 0, 0.0
-	for i, c := range costs {
-		acc += c
-		cut = i + 1
-		if acc >= total/2 {
-			break
-		}
-	}
-	if cut >= len(u.Tasks) {
-		cut = len(u.Tasks) - 1
-		acc = total - costs[len(costs)-1]
-	}
-	keep = Unit{
-		Tasks: append([]Task(nil), u.Tasks[:cut]...),
-		Costs: append([]float64(nil), costs[:cut]...),
-		Cost:  acc,
-	}
-	stolen = Unit{
-		Tasks: append([]Task(nil), u.Tasks[cut:]...),
-		Costs: append([]float64(nil), costs[cut:]...),
-		Cost:  total - acc,
-	}
-	return keep, stolen, true
-}
 
 // Plan builds the size-aware dispatch schedule for one set of tasks over
 // nproc processors.
@@ -240,7 +185,7 @@ func PlanCosted(costed []Costed, threshold float64, nproc int) []Unit {
 	if threshold == 0 {
 		units := make([]Unit, len(costed))
 		for i, c := range costed {
-			units[i] = Unit{Tasks: []Task{c.Task}, Cost: c.Cost, Costs: []float64{c.Cost}}
+			units[i] = Unit{Tasks: []Task{c.Task}, Cost: c.Cost}
 		}
 		return units
 	}
@@ -260,7 +205,7 @@ func PlanCosted(costed []Costed, threshold float64, nproc int) []Unit {
 
 	units := make([]Unit, 0, len(large)+nproc)
 	for _, c := range large {
-		units = append(units, Unit{Tasks: []Task{c.Task}, Cost: c.Cost, Costs: []float64{c.Cost}})
+		units = append(units, Unit{Tasks: []Task{c.Task}, Cost: c.Cost})
 	}
 
 	if len(small) > 0 {
@@ -296,7 +241,6 @@ func PlanCosted(costed []Costed, threshold float64, nproc int) []Unit {
 			u := Unit{Cost: costs[i]}
 			for _, c := range b {
 				u.Tasks = append(u.Tasks, c.Task)
-				u.Costs = append(u.Costs, c.Cost)
 			}
 			units = append(units, u)
 		}

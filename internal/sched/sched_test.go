@@ -25,20 +25,6 @@ func TestEstimateCostOrdering(t *testing.T) {
 	}
 }
 
-func TestFCFSPreservesOrder(t *testing.T) {
-	tasks := []Task{mkTask("a", 10, 1), mkTask("b", 300, 3), mkTask("c", 50, 2)}
-	got := FCFS(tasks)
-	for i := range tasks {
-		if got[i].Name != tasks[i].Name {
-			t.Fatalf("order changed: %v", got)
-		}
-	}
-	got[0].Name = "mutated"
-	if tasks[0].Name != "a" {
-		t.Error("FCFS must copy, not alias")
-	}
-}
-
 func TestGroupBalances(t *testing.T) {
 	// One large and several small tasks on 2 processors: the large task
 	// must sit alone (or nearly so).

@@ -74,12 +74,12 @@ type Daemon struct {
 	cfg    Config
 	admit  *Admitter
 	tokens *Bucket
-	// fleet is the daemon-lifetime work-stealing fleet every job dispatches
-	// through: one set of slots sized to the backend, multiplexing all
-	// concurrent builds so one build's straggler tail is drained by slots
-	// another build left idle. Jobs tag their units with the same client
-	// identity the Admitter queues by, and victim selection is weighted by
-	// per-tenant service deficit.
+	// fleet is the daemon-lifetime dispatch fleet every job dispatches
+	// through: one queue and one set of slots sized to the backend,
+	// multiplexing all concurrent builds so a slot one build leaves idle
+	// serves another's queued units. Jobs tag their units with the same
+	// client identity the Admitter queues by, and a free slot takes the
+	// front-most unit of the tenant with the least service so far.
 	fleet *sched.Fleet
 
 	baseCtx context.Context
@@ -533,10 +533,6 @@ func (d *Daemon) snapshotStats() *DaemonStats {
 	active, queued := d.admit.Depth()
 	s.ActiveJobs, s.QueuedJobs = int64(active), int64(queued)
 	s.Tokens = d.tokens.Stats()
-	fs := d.fleet.Stats()
-	s.FleetSteals = int64(fs.Steals)
-	s.FleetCrossBuildSteals = int64(fs.CrossBuildSteals)
-	s.FleetBatchSplits = int64(fs.BatchSplits)
 	return &s
 }
 

@@ -483,8 +483,8 @@ func TestDaemonUnixSocket(t *testing.T) {
 	}
 }
 
-// TestDaemonStealStatsInJobSnapshot: the work-stealing counters travel the
-// wire inside each job's stats snapshot.
+// TestDaemonStealStatsInJobSnapshot: the fleet stats (shared fleet,
+// per-slot idle) travel the wire inside each job's stats snapshot.
 func TestDaemonStealStatsInJobSnapshot(t *testing.T) {
 	noAmbientDiskCache(t)
 	_, addr := startDaemon(t, Config{})

@@ -13,6 +13,10 @@
 //   - Per-job cancellation: each job runs under its own context; a client
 //     disconnecting (or cancelling) severs exactly its own slice of the
 //     worker fleet, without perturbing co-tenant jobs.
+//   - One dispatch queue: every job's units join the daemon-lifetime
+//     fleet's single queue, and a free slot takes the front-most unit of
+//     the tenant served least so far, so a huge build cannot starve a
+//     co-tenant's small one.
 //   - Jobserver-style tokens: a fixed bucket of parallelism tokens bounds
 //     total daemon concurrency. Every running job holds one; wire clients
 //     may borrow tokens too (to coordinate their own build parallelism,
@@ -167,12 +171,9 @@ type DaemonStats struct {
 	Tokens TokenStats
 	// Clients is the number of currently connected clients.
 	Clients int64
-	// FleetSteals, FleetCrossBuildSteals, and FleetBatchSplits are the
-	// daemon-lifetime shared stealing fleet's cumulative rebalancing
-	// counters across every job served.
-	FleetSteals           int64
+	// FleetCrossBuildSteals is always zero: the shared fleet is one queue
+	// and never steals. It is kept only because cmd/warpbench reads it.
 	FleetCrossBuildSteals int64
-	FleetBatchSplits      int64
 }
 
 // errResponse builds a coded failure response.

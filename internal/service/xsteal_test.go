@@ -15,8 +15,8 @@ import (
 	"repro/internal/wgen"
 )
 
-// Cross-build stealing suite: concurrent builds multiplexed onto the
-// daemon's shared work-stealing fleet must stay word-identical to their
+// Cross-build fleet suite: concurrent builds multiplexed onto the
+// daemon's shared dispatch queue must stay word-identical to their
 // sequential compiles at every worker count, survive one build's
 // mid-flight cancellation without perturbing its siblings, and keep a
 // tiny tenant's job from starving behind a huge one.
@@ -24,7 +24,7 @@ import (
 // TestCrossBuildStealParity runs two tenants' distinct modules through one
 // daemon concurrently at workers 1/2/4/8 and checks both outputs are
 // word-identical to the sequential oracle, with correctly scoped per-job
-// steal stats (shared fleet, per-slot idle decomposition).
+// fleet stats (shared fleet, per-slot idle decomposition).
 func TestCrossBuildStealParity(t *testing.T) {
 	noAmbientDiskCache(t)
 	srcA := wgen.SkewedProgram(2, 4)
@@ -42,7 +42,7 @@ func TestCrossBuildStealParity(t *testing.T) {
 		// A pool with a fresh cache per round: every job recompiles for
 		// real, so the shared fleet is genuinely exercised rather than
 		// answered from the object tier.
-		d, addr := startDaemon(t, Config{
+		_, addr := startDaemon(t, Config{
 			Backend:   cluster.NewLocalPoolWith(workers, fcache.New(0)),
 			MaxActive: 2,
 		})
@@ -81,14 +81,6 @@ func TestCrossBuildStealParity(t *testing.T) {
 			if len(st.IdleTime) != workers {
 				t.Errorf("workers=%d: job %s idle decomposition has %d slots", workers, name, len(st.IdleTime))
 			}
-			if st.CrossBuildSteals > st.Steals {
-				t.Errorf("workers=%d: job %s cross-build steals exceed steals: %+v", workers, name, st)
-			}
-		}
-		ds := d.snapshotStats()
-		if ds.FleetSteals < int64(a.resp.Stats.Steal.Steals+b.resp.Stats.Steal.Steals) {
-			t.Errorf("workers=%d: fleet counter %d below the jobs' sum %d+%d", workers,
-				ds.FleetSteals, a.resp.Stats.Steal.Steals, b.resp.Stats.Steal.Steals)
 		}
 	}
 }
@@ -198,8 +190,8 @@ func TestCrossBuildCancellationLeavesSiblingIntact(t *testing.T) {
 // TestTinyJobNotStarvedByHugeJob is the daemon-level starvation guard: a
 // tiny tenant's job submitted while a huge tenant saturates the shared
 // fleet must complete while the huge job is still running, within a
-// bounded multiple of its solo latency — the deficit-weighted victim
-// selection at work.
+// bounded multiple of its solo latency — the deficit-weighted pop at
+// work.
 func TestTinyJobNotStarvedByHugeJob(t *testing.T) {
 	noAmbientDiskCache(t)
 	_, addr := startDaemon(t, Config{

@@ -470,9 +470,9 @@ func WideProgram(nfuncs, nsections int) []byte {
 // functions (20–60 lines, cycling deterministically) plus its forwarding
 // entry — while every other section is a single tiny forwarding entry. Under
 // a static per-section plan the heavy section's worker queue drags while the
-// tiny sections' finish instantly: exactly the regime where a global
-// work-stealing scheduler lets the idle slots drain the straggler's queue
-// (and crack its batches open). Function sizes stay small enough that the
+// tiny sections' finish instantly: exactly the regime where one dispatch
+// queue shared by every section lets the idle slots drain the straggler's
+// units. Function sizes stay small enough that the
 // heavy section's combined code fits a cell's 16K-word store.
 func SkewedProgram(nsections, nHeavy int) []byte {
 	if nsections < 2 {
